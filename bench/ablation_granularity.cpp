@@ -119,7 +119,7 @@ void run() {
     });
   });
   const std::vector<GranularityResult> results =
-      bench::run_parallel(std::move(jobs));
+      run_parallel_jobs(std::move(jobs));
 
   Table t({"arbiter", "granularity g", "paper bound g x (N-1)",
            "worst observed interference (txns)",

@@ -109,7 +109,7 @@ void run(std::uint64_t scale) {
       return run_pair(InterconnectKind::kHyperConnect, scale, share, frames);
     });
   }
-  const std::vector<PairResult> results = bench::run_parallel(std::move(jobs));
+  const std::vector<PairResult> results = run_parallel_jobs(std::move(jobs));
 
   const PairResult& iso = results[0];
   Table t({"configuration", "CHaiDNN (fps)", "HA_DMA (jobs/s)",

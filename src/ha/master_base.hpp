@@ -112,11 +112,6 @@ class AxiMasterBase : public Component {
   /// `reg`. Virtual so subclasses can append their own (jobs done, frames).
   virtual void register_metrics(MetricsRegistry& reg);
 
-  /// Masters touch only their own state and their link's channels.
-  [[nodiscard]] TickScope tick_scope() const override {
-    return TickScope::kIsland;
-  }
-
   void append_digest(StateDigest& d) const override;
 
  protected:

@@ -179,7 +179,7 @@ struct ProveReport {
 };
 
 /// Runs every check. Pure function of the input: no simulation, no global
-/// state, deterministic across threads/backends by construction.
+/// state, deterministic across thread counts by construction.
 [[nodiscard]] ProveReport prove(const ProveInput& in);
 
 }  // namespace axihc

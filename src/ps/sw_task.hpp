@@ -41,11 +41,6 @@ class SwTask final : public Component {
   void tick(Cycle now) override;
   void reset() override;
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
-  [[nodiscard]] TickScope tick_scope() const override {
-    // Serial: tick() polls the InterruptController directly — shared state
-    // the channel graph cannot express as an endpoint edge.
-    return TickScope::kSerial;
-  }
 
   [[nodiscard]] std::uint64_t requests_completed() const { return done_; }
   [[nodiscard]] const LatencyStats& response_times() const {

@@ -82,9 +82,9 @@ class ChannelBase {
   virtual void append_digest(StateDigest& d) const { (void)d; }
 
   /// Declares `component` as an endpoint (producer or consumer) of this
-  /// channel. Called from component constructors; the island engine builds
-  /// connected components of the (component, channel) graph from these
-  /// declarations at elaboration time. Duplicate declarations are fine.
+  /// channel. Called from component constructors; axihc-lint's
+  /// unconnected-link rule reads these declarations to find dangling port
+  /// bundles. Duplicate declarations are fine.
   void add_endpoint(const Component& component) {
     endpoints_.push_back(&component);
   }
@@ -92,25 +92,6 @@ class ChannelBase {
   [[nodiscard]] const std::vector<const Component*>& endpoints() const {
     return endpoints_;
   }
-
-  /// Access ledger (axihc-lint): distinct components observed touching this
-  /// channel while the phase checker was armed. Always empty in builds
-  /// without AXIHC_PHASE_CHECK — the design-rule checker cross-checks it
-  /// against endpoints() to find undeclared accesses.
-#ifdef AXIHC_PHASE_CHECK
-  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
-      const {
-    return ledger_accessors_;
-  }
-  void clear_observed_accessors() { ledger_accessors_.clear(); }
-#else
-  [[nodiscard]] const std::vector<const Component*>& observed_accessors()
-      const {
-    static const std::vector<const Component*> kEmpty;
-    return kEmpty;
-  }
-  void clear_observed_accessors() {}
-#endif
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -124,7 +105,7 @@ class ChannelBase {
   /// would commit and re-snapshot twice), and the stamp — unlike the dirty_
   /// flag — survives clear_dirty(), so the channel stays enqueued exactly
   /// once per epoch. Pooled channels enqueue their lane index (committed by
-  /// the backend kernels); only unpooled ones enqueue a pointer for the
+  /// the kernel's lane sweep); only unpooled ones enqueue a pointer for the
   /// virtual-commit fallback. Standalone channels just set the local flag
   /// (which Simulator::add also checks, so pre-registration pushes commit
   /// at the end of the first cycle).
@@ -152,22 +133,15 @@ class ChannelBase {
   // hooks can be called from const accessors (the ledger state is mutable).
 #ifdef AXIHC_PHASE_CHECK
   void ledger_on_read() const;   // pop/front: consumes committed state
-  void ledger_on_peek() const;   // occupancy reads (can_push/can_pop/...)
   void ledger_on_write() const;  // push
   void ledger_on_commit() const;
-  void ledger_on_flush() const;  // clear_contents
-
- private:
-  void ledger_note_accessor() const;
 #else
   void ledger_on_read() const {}
-  void ledger_on_peek() const {}
   void ledger_on_write() const {}
   void ledger_on_commit() const {}
-  void ledger_on_flush() const {}
+#endif
 
  private:
-#endif
   friend class Simulator;
 
   std::string name_;
@@ -177,11 +151,9 @@ class ChannelBase {
   // build along with the hooks, so uninstrumented channels carry neither
   // per-access nor footprint overhead. Mutable: read-side hooks record from
   // const accessors.
-  mutable std::vector<const Component*> ledger_accessors_;
   mutable std::uint64_t ledger_commit_epoch_ = 0;
 #endif
-  // Commit lists this channel enqueues itself on: the Simulator's main
-  // lists, or (island engine) its island's local lists. Null when
+  // The Simulator's commit lists this channel enqueues itself on. Null when
   // standalone. Pooled channels (lane_ != kNoLane) enqueue their lane on
   // lane_list_; unpooled ones enqueue themselves on dirty_list_.
   std::vector<ChannelBase*>* dirty_list_ = nullptr;
@@ -214,7 +186,6 @@ class TimingChannel final : public ChannelBase {
 
   /// True if the producer may push this cycle (backpressure check).
   [[nodiscard]] bool can_push() const {
-    ledger_on_peek();
     return hot_->snapshot + hot_->staged < capacity_;
   }
 
@@ -230,15 +201,9 @@ class TimingChannel final : public ChannelBase {
   }
 
   /// True if the consumer can pop a (previously committed) element.
-  [[nodiscard]] bool can_pop() const {
-    ledger_on_peek();
-    return hot_->committed != 0;
-  }
+  [[nodiscard]] bool can_pop() const { return hot_->committed != 0; }
 
-  [[nodiscard]] bool empty() const {
-    ledger_on_peek();
-    return hot_->committed == 0;
-  }
+  [[nodiscard]] bool empty() const { return hot_->committed == 0; }
 
   /// Oldest committed element. Requires can_pop().
   [[nodiscard]] const T& front() const {
@@ -260,21 +225,12 @@ class TimingChannel final : public ChannelBase {
   }
 
   /// Committed elements currently queued (in-flight occupancy).
-  [[nodiscard]] std::size_t size() const {
-    ledger_on_peek();
-    return hot_->committed;
-  }
+  [[nodiscard]] std::size_t size() const { return hot_->committed; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Lifetime traffic counters (used by throughput probes).
-  [[nodiscard]] std::uint64_t total_pushes() const {
-    ledger_on_peek();
-    return total_pushes_;
-  }
-  [[nodiscard]] std::uint64_t total_pops() const {
-    ledger_on_peek();
-    return total_pops_;
-  }
+  [[nodiscard]] std::uint64_t total_pushes() const { return total_pushes_; }
+  [[nodiscard]] std::uint64_t total_pops() const { return total_pops_; }
 
   void commit() override {
     ledger_on_commit();
@@ -323,7 +279,6 @@ class TimingChannel final : public ChannelBase {
   /// A no-op on an already-empty channel, so continuous flushing (a
   /// decoupled port) does not keep marking the channel dirty.
   void clear_contents() {
-    ledger_on_flush();
     ChannelHot& h = *hot_;
     if (h.committed == 0 && h.staged == 0 && h.snapshot == 0) return;
     h = ChannelHot{};

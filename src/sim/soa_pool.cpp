@@ -42,20 +42,8 @@ HotStatePool::Slot64 HotStatePool::alloc_u64(const Component* owner,
 
 void HotStatePool::note_slot_write(std::uint32_t slot) const {
   if (!PhaseCheck::armed()) return;
-  const SlotInfo& info = slots_[slot];
-  const Component* c = PhaseCheck::current();
-  if (c != nullptr) {
-    bool seen = false;
-    for (const Component* s : info.accessors) {
-      if (s == c) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) info.accessors.push_back(c);
-  }
   if (PhaseCheck::phase() == EnginePhase::kCommit) {
-    PhaseCheck::record("pool:" + info.what,
+    PhaseCheck::record("pool:" + slots_[slot].what,
                        "pool-slot write during the engine commit phase", 0);
   }
 }

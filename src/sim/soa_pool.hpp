@@ -1,15 +1,13 @@
 // Packed hot-state pools owned by the Simulator.
 //
-// The per-cycle hot state of a simulation — ring-channel counter words,
-// per-component next_activity certificates, and component-declared scalar
-// slots (reservation budgets, recharge deadlines) — lives here in packed
-// arrays instead of scattered across component objects. Components and
-// channels hold typed handles (a pointer into the pool, installed at
-// elaboration time), so all existing logic, the digest, traces and audits
-// are unchanged; only the memory layout moves. The payoff is the two hot
-// linear sweeps in src/sim/backend.hpp: the commit phase walks the channel
-// lane array and the fast-forward bound min-reduces the certificate array,
-// both branch-light and SIMD-friendly.
+// The per-cycle hot state of a simulation — ring-channel counter words and
+// component-declared scalar slots (reservation budgets, recharge
+// deadlines) — lives here in packed arrays instead of scattered across
+// component objects. Components and channels hold typed handles (a pointer
+// into the pool, installed at elaboration time), so all existing logic, the
+// digest, traces and audits are unchanged; only the memory layout moves.
+// The commit phase walks the channel lane array as one linear sweep
+// (commit_lanes_dense/commit_lanes_sparse in sim/simulator.hpp).
 //
 // Layout and handle invariants:
 //  * Channel lanes are indexed by the channel's registration index in its
@@ -18,13 +16,11 @@
 //    Simulator re-installs every handle before the next cycle. A lane whose
 //    channel does not opt in (a non-TimingChannel subclass) stays all-zero
 //    forever, which makes it a no-op under the dense commit sweep.
-//  * Certificate lanes are indexed by component registration index; island
-//    slices address them through the island's seq[] mapping, so the
-//    parallel engine's per-island refresh composes without a relayout.
 //  * Scalar slots are append-only and individually heap-backed, so handles
 //    into them survive later allocations. Every slot declares its owning
-//    component — axihc-lint's undeclared-pool-slot check and the
-//    AXIHC_PHASE_CHECK ledger treat pool writes like channel writes.
+//    component (axihc-lint's undeclared-pool-slot check flags ownerless
+//    ones), and the AXIHC_PHASE_CHECK build flags slot writes during the
+//    commit phase like channel writes.
 #pragma once
 
 #include <cstddef>
@@ -45,14 +41,14 @@ class Component;
 inline constexpr std::uint32_t kNoLane = 0xffffffffu;
 
 /// The four hot ring-counter words of one TimingChannel, packed as a
-/// 16-byte pool lane so the commit sweep can process lanes vector-wide.
+/// 16-byte pool lane.
 struct ChannelHot {
   std::uint32_t head = 0;       // ring index of the oldest committed element
   std::uint32_t committed = 0;  // elements visible to the consumer
   std::uint32_t staged = 0;     // pushed this cycle, pending commit
   std::uint32_t snapshot = 0;   // occupancy at cycle start (can_push basis)
 };
-static_assert(sizeof(ChannelHot) == 16, "commit kernels assume 16B lanes");
+static_assert(sizeof(ChannelHot) == 16, "pool lanes are 16 bytes");
 
 class HotStatePool {
  public:
@@ -73,20 +69,13 @@ class HotStatePool {
   [[nodiscard]] ChannelHot& hot(std::uint32_t lane) { return hot_[lane]; }
 
   /// Channel behind a lane (nullptr for non-pooled lanes). The commit phase
-  /// uses this for ledger stamping; rewires use it to re-enqueue pending
-  /// lanes onto retargeted lists.
+  /// uses this for phase-check stamping.
   void set_lane_channel(std::uint32_t lane, ChannelBase* ch) {
     lane_channel_[lane] = ch;
   }
   [[nodiscard]] ChannelBase* lane_channel(std::uint32_t lane) const {
     return lane_channel_[lane];
   }
-
-  // --- next_activity certificate lanes -----------------------------------
-
-  void resize_certs(std::size_t n) { certs_.resize(n, 0); }
-  [[nodiscard]] std::size_t cert_lanes() const { return certs_.size(); }
-  [[nodiscard]] Cycle* certs() { return certs_.data(); }
 
   // --- owner-declared scalar slots ---------------------------------------
 
@@ -96,11 +85,6 @@ class HotStatePool {
     const Component* owner = nullptr;
     std::string what;       // e.g. "budget_left"
     std::size_t words = 0;  // block length in elements
-#ifdef AXIHC_PHASE_CHECK
-    // Access ledger (axihc-lint): distinct components observed writing this
-    // slot while the phase checker was armed. Mirrors the channel ledger.
-    mutable std::vector<const Component*> accessors;
-#endif
   };
 
   struct Slot32 {
@@ -122,37 +106,20 @@ class HotStatePool {
 
   [[nodiscard]] const std::vector<SlotInfo>& slots() const { return slots_; }
 
-  /// AXIHC_PHASE_CHECK hook: stamps a write to `slot` like a channel write
-  /// (records the currently-ticking component in the slot's ledger; flags a
-  /// write during the engine commit phase). No-op in default builds.
+  /// AXIHC_PHASE_CHECK hook: flags a write to `slot` during the kernel
+  /// commit phase, like a channel write. No-op in default builds.
 #ifdef AXIHC_PHASE_CHECK
   void note_slot_write(std::uint32_t slot) const;
-  [[nodiscard]] const std::vector<const Component*>& slot_accessors(
-      std::uint32_t slot) const {
-    return slots_[slot].accessors;
-  }
-  void clear_slot_accessors() {
-    for (auto& s : slots_) s.accessors.clear();
-  }
 #else
   void note_slot_write(std::uint32_t slot) const { (void)slot; }
-  [[nodiscard]] const std::vector<const Component*>& slot_accessors(
-      std::uint32_t slot) const {
-    (void)slot;
-    static const std::vector<const Component*> kEmpty;
-    return kEmpty;
-  }
-  void clear_slot_accessors() {}
 #endif
 
  private:
   std::vector<ChannelHot> hot_;
   std::vector<ChannelBase*> lane_channel_;
-  std::vector<Cycle> certs_;
   std::vector<SlotInfo> slots_;
   // One heap block per slot: handles must survive later allocations, and a
-  // slot's words (e.g. all per-port budgets) stay contiguous — the unit
-  // that matters for sweep locality.
+  // slot's words (e.g. all per-port budgets) stay contiguous.
   std::vector<std::unique_ptr<std::uint64_t[]>> blocks_;
 };
 

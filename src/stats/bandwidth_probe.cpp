@@ -11,8 +11,7 @@ BandwidthProbe::BandwidthProbe(std::string name, AxiLink& link, Cycle window)
     : Component(std::move(name)), link_(link), window_(window) {
   AXIHC_CHECK(window_ > 0);
   window_end_ = window_;
-  // Counter reads are still cross-component state: co-island with the
-  // link's producer/consumer so the observed counters are tick-order stable.
+  // Declared as an endpoint of the channels whose counters it reads.
   link_.r.add_endpoint(*this);
   link_.w.add_endpoint(*this);
 }

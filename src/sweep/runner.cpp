@@ -109,11 +109,11 @@ std::string execute_cell(const IniFile& cfg) {
   }
 
   // The latency auditor rides along on every cell: its audit_wcrt_* bounds
-  // (src/analysis/wcla.hpp) are the sweep's predictability metric, and it
-  // forces the serial tick kernel — parallelism lives across cells, never
-  // inside one, so rows are independent of AXIHC_BENCH_THREADS. It never
-  // touches simulated state, so state digests stay comparable with plain
-  // `axihc` runs of the same config.
+  // (src/analysis/wcla.hpp) are the sweep's predictability metric.
+  // Parallelism lives across cells, never inside one, so rows are
+  // independent of AXIHC_BENCH_THREADS. The auditor never touches simulated
+  // state, so state digests stay comparable with plain `axihc` runs of the
+  // same config.
   sys->observe_config().latency_audit = true;
   const Cycle cycles = sys->run();
 

@@ -1,8 +1,8 @@
 // The sweep execution engine behind `axihc --sweep` (see sweep.hpp for the
 // spec format).
 //
-// Every cell is one shared-nothing simulation job on the persistent worker
-// pool (sim/parallel_jobs.hpp). Cells are processed in index order in
+// Every cell is one shared-nothing simulation job on the job pool
+// (sim/parallel_jobs.hpp). Cells are processed in index order in
 // batches of ~2x the worker count, so the JSON-lines output STREAMS while
 // the sweep runs yet stays in deterministic cell order — a parallel sweep
 // prints byte-identical rows to a serial one (`--sweep-deterministic` drops

@@ -1,6 +1,10 @@
 // INI parser and config-driven system builder tests (the axihc CLI engine).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "config/ini.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -42,6 +46,62 @@ TEST(Ini, TypedAccessorsRejectGarbage) {
   const IniSection* s = ini.section("s");
   EXPECT_THROW(static_cast<void>(s->get_u64("num", 0)), ModelError);
   EXPECT_THROW(static_cast<void>(s->get_bool("flag", false)), ModelError);
+}
+
+TEST(Ini, UnsignedAccessorsRejectNegativeValues) {
+  // std::stoull would negate "-5" to 2^64 - 5, turning `cycles = -5` into a
+  // run that never ends.
+  const IniFile ini = IniFile::parse("[system]\ncycles = -5\n");
+  const IniSection* s = ini.section("system");
+  try {
+    static_cast<void>(s->get_u64("cycles", 0));
+    FAIL() << "negative cycles accepted";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[system]"), std::string::npos) << what;
+    EXPECT_NE(what.find("cycles"), std::string::npos) << what;
+    EXPECT_NE(what.find("-5"), std::string::npos) << what;
+  }
+  const IniFile zero = IniFile::parse("[s]\nn = -0\n");
+  EXPECT_THROW(static_cast<void>(zero.section("s")->get_u64("n", 0)),
+               ModelError);
+}
+
+TEST(Ini, UnsignedAccessorsRejectOutOfRangeValues) {
+  const IniFile ini = IniFile::parse(
+      "[s]\n"
+      "huge = 18446744073709551616\n"   // 2^64
+      "max = 18446744073709551615\n");  // 2^64 - 1
+  const IniSection* s = ini.section("s");
+  EXPECT_THROW(static_cast<void>(s->get_u64("huge", 0)), ModelError);
+  EXPECT_EQ(s->get_u64("max", 0), UINT64_MAX);
+}
+
+TEST(Ini, U32ListRejectsNegativeAndTooWideElements) {
+  const IniFile ini = IniFile::parse(
+      "[hyperconnect]\n"
+      "negative = 64 -1\n"
+      "wide = 4294967296 7\n"   // 2^32 would truncate to 0
+      "edge = 4294967295 0x10\n");
+  const IniSection* s = ini.section("hyperconnect");
+  try {
+    static_cast<void>(s->get_u32_list("negative"));
+    FAIL() << "negative list element accepted";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[hyperconnect]"), std::string::npos) << what;
+    EXPECT_NE(what.find("negative"), std::string::npos) << what;
+    EXPECT_NE(what.find("'-1'"), std::string::npos) << what;
+  }
+  EXPECT_THROW(static_cast<void>(s->get_u32_list("wide")), ModelError);
+  EXPECT_EQ(s->get_u32_list("edge"),
+            (std::vector<std::uint32_t>{UINT32_MAX, 16}));
+}
+
+TEST(SystemBuilder, NegativeCyclesIsAConfigError) {
+  EXPECT_THROW(build_system("[system]\nports = 1\ncycles = -5\n"
+                            "[ha0]\ntype = traffic\n"),
+               ModelError);
 }
 
 TEST(Ini, PrefixLookupKeepsOrder) {

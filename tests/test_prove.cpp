@@ -127,8 +127,8 @@ TEST(ProveCertificate, DigestIsStableAndContentSensitive) {
 }
 
 TEST(ProveCertificate, VerdictStableAcrossThreadAndBackendEnv) {
-  // The prover never simulates, so runtime knobs that select tick kernels
-  // or worker counts must not be able to change a verdict or certificate.
+  // The prover never simulates, so the job-pool worker count must not be
+  // able to change a verdict or certificate.
   const std::string baseline = prove_text(kHealthy).certificate_json();
   for (const char* threads : {"1", "4"}) {
     ::setenv("AXIHC_BENCH_THREADS", threads, 1);

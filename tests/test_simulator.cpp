@@ -1,10 +1,15 @@
-// Simulator determinism and lifecycle tests.
+// Simulator determinism and lifecycle tests, plus the job pool that runs
+// independent simulations in parallel (sim/parallel_jobs.hpp).
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <vector>
 
+#include "common/check.hpp"
+#include "sim/parallel_jobs.hpp"
 #include "sim/trace.hpp"
 
 namespace axihc {
@@ -140,6 +145,56 @@ TEST(EventTrace, RecordsOnlyWhenEnabled) {
   EXPECT_EQ(trace.first("a", "x"), 2u);
   EXPECT_EQ(trace.first("a", "z"), kNoCycle);
   EXPECT_EQ(trace.count("a", "x"), 2u);
+}
+
+TEST(ParallelJobs, RunsEveryJobOnceInJobOrder) {
+  std::atomic<int> calls{0};
+  std::vector<std::function<int()>> jobs;
+  for (int i = 0; i < 37; ++i) {
+    jobs.push_back([i, &calls] {
+      calls.fetch_add(1, std::memory_order_relaxed);
+      return i * i;
+    });
+  }
+  const std::vector<int> results = run_parallel_jobs(std::move(jobs));
+  EXPECT_EQ(calls.load(), 37);
+  ASSERT_EQ(results.size(), 37u);
+  for (int i = 0; i < 37; ++i) EXPECT_EQ(results[i], i * i);
+  EXPECT_TRUE(run_parallel_jobs(std::vector<std::function<int()>>{}).empty());
+}
+
+TEST(ParallelJobs, JobExceptionReachesTheCaller) {
+  std::vector<std::function<int()>> jobs;
+  for (int i = 0; i < 16; ++i) {
+    jobs.push_back([i]() -> int {
+      if (i == 5) throw ModelError("job 5 failed");
+      return i;
+    });
+  }
+  EXPECT_THROW(static_cast<void>(run_parallel_jobs(std::move(jobs))),
+               ModelError);
+}
+
+TEST(ParallelJobs, ParallelSimulationsMatchASerialRun) {
+  // Each job owns its whole simulation, so every job lands on the digest a
+  // lone serial run produces, whatever the worker count.
+  auto simulate = [] {
+    Simulator sim;
+    TimingChannel<int> ch("ch", 2);
+    Producer p("p", ch);
+    Consumer c("c", ch);
+    sim.add(ch);
+    sim.add(p);
+    sim.add(c);
+    sim.reset();
+    sim.run(500);
+    return sim.state_digest();
+  };
+  const std::uint64_t expected = simulate();
+  std::vector<std::function<std::uint64_t()>> jobs(8, simulate);
+  for (const std::uint64_t d : run_parallel_jobs(std::move(jobs))) {
+    EXPECT_EQ(d, expected);
+  }
 }
 
 }  // namespace
