@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "config/schema.hpp"
 #include "config/system_builder.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "sim/parallel_jobs.hpp"
@@ -35,6 +36,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 std::uint64_t draw(std::uint64_t& state, std::uint64_t lo, std::uint64_t hi) {
   AXIHC_CHECK(hi >= lo);
   return lo + splitmix64(state) % (hi - lo + 1);
+}
+
+/// Config spelling of a fault kind (the kind choices after mem_slverr).
+std::string_view kind_name(FaultKind kind) {
+  return schema::kFaultKind.word(static_cast<std::size_t>(kind) + 1);
 }
 
 std::vector<FaultKind> all_injector_kinds() {
@@ -105,7 +111,7 @@ std::string fault_list_json(const FaultScenario& scenario) {
     if (is_sentinel(f)) continue;
     if (!first) os << ",";
     first = false;
-    os << "{\"kind\":\"" << fault_kind_name(f.kind) << "\",\"port\":"
+    os << "{\"kind\":\"" << kind_name(f.kind) << "\",\"port\":"
        << f.port << ",\"start\":" << f.start << ",\"duration\":"
        << f.duration << ",\"param\":" << f.param << ",\"probability\":"
        << json_double(f.probability) << "}";
@@ -176,6 +182,7 @@ RunRow execute_run(const IniFile& ini, const CampaignSpec& spec,
 }  // namespace
 
 CampaignSpec parse_campaign_spec(const IniFile& ini) {
+  validate_config(ini);
   const IniSection* camp = ini.section("campaign");
   AXIHC_CHECK_MSG(camp != nullptr,
                   "a campaign file needs a [campaign] section");
@@ -184,41 +191,40 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
   AXIHC_CHECK_MSG(ini.section("recovery") != nullptr,
                   "campaigns measure survivability through the recovery "
                   "FSM — add a [recovery] section");
-  AXIHC_CHECK_MSG(ini.sections_with_prefix("fault").empty(),
+  AXIHC_CHECK_MSG(schema::indexed(ini, "fault").empty(),
                   "the campaign owns the fault description — remove the "
                   "[faultN] sections from the base config");
 
   CampaignSpec spec;
-  spec.runs = camp->get_u64("runs", 100);
-  AXIHC_CHECK_MSG(spec.runs >= 1, "[campaign] runs must be >= 1");
-  spec.seed = camp->get_u64("seed", 1);
-  spec.cycles = camp->get_u64("cycles", 0);
-  if (spec.cycles == 0) spec.cycles = system->get_u64("cycles", 1'000'000);
+  spec.runs = schema::kCampaignRuns.u64(*camp);
+  spec.seed = schema::kCampaignSeed.u64(*camp);
+  spec.cycles = schema::kCampaignCycles.u64(*camp);
+  if (spec.cycles == 0) spec.cycles = schema::kSystemCycles.u64(*system);
 
   spec.min_faults =
-      static_cast<std::uint32_t>(camp->get_u64("min_faults", 1));
+      static_cast<std::uint32_t>(schema::kCampaignMinFaults.u64(*camp));
   spec.max_faults =
-      static_cast<std::uint32_t>(camp->get_u64("max_faults", 3));
+      static_cast<std::uint32_t>(schema::kCampaignMaxFaults.u64(*camp));
   AXIHC_CHECK_MSG(spec.max_faults >= spec.min_faults,
                   "[campaign] max_faults < min_faults");
 
-  std::istringstream kinds(camp->get_string("kinds", ""));
+  std::istringstream kinds(schema::kCampaignKinds.text(*camp));
   for (std::string word; kinds >> word;) {
-    const auto kind = fault_kind_from_string(word);
-    AXIHC_CHECK_MSG(kind.has_value(),
+    const std::size_t kind = schema::kFaultKind.index(word);  // 0: mem_slverr
+    AXIHC_CHECK_MSG(kind != 0 && kind != std::string::npos,
                     "[campaign] unknown fault kind '" << word << "'");
-    spec.kinds.push_back(*kind);
+    spec.kinds.push_back(static_cast<FaultKind>(kind - 1));
   }
   if (spec.kinds.empty()) spec.kinds = all_injector_kinds();
 
-  const std::uint64_t num_ports = system->get_u64("ports", 2);
-  for (const std::uint32_t p : camp->get_u32_list("ports")) {
+  const std::uint64_t num_ports = schema::kSystemPorts.u64(*system);
+  for (const std::uint32_t p : schema::kCampaignPorts.list(*camp)) {
     spec.ports.push_back(p);
   }
   if (spec.ports.empty()) {
     // Default: every port with an HA behind it (faults on empty ports
     // would never materialize — no injector is built there).
-    const std::size_t ha_count = ini.sections_with_prefix("ha").size();
+    const std::size_t ha_count = schema::indexed(ini, "ha").size();
     for (PortIndex p = 0; p < ha_count; ++p) spec.ports.push_back(p);
   }
   AXIHC_CHECK_MSG(!spec.ports.empty(), "[campaign] no candidate ports");
@@ -227,21 +233,15 @@ CampaignSpec parse_campaign_spec(const IniFile& ini) {
                     "[campaign] port " << p << " out of range");
   }
 
-  spec.start_min = camp->get_u64("start_min", spec.cycles / 10);
-  spec.start_max = camp->get_u64("start_max", spec.cycles / 2);
+  spec.start_min = schema::kCampaignStartMin.u64(*camp, spec.cycles / 10);
+  spec.start_max = schema::kCampaignStartMax.u64(*camp, spec.cycles / 2);
   AXIHC_CHECK_MSG(spec.start_max >= spec.start_min,
                   "[campaign] start_max < start_min");
-  spec.duration_min = camp->get_u64("duration_min", 200);
-  spec.duration_max = camp->get_u64("duration_max", 2000);
-  AXIHC_CHECK_MSG(spec.duration_min >= 1,
-                  "[campaign] duration_min must be >= 1 (duration 0 means "
-                  "a permanent fault; campaigns sweep transient windows)");
+  spec.duration_min = schema::kCampaignDurationMin.u64(*camp);
+  spec.duration_max = schema::kCampaignDurationMax.u64(*camp);
   AXIHC_CHECK_MSG(spec.duration_max >= spec.duration_min,
                   "[campaign] duration_max < duration_min");
-
-  spec.probability = camp->get_double("probability", 1.0);
-  AXIHC_CHECK_MSG(spec.probability > 0.0 && spec.probability <= 1.0,
-                  "[campaign] probability must be in (0, 1]");
+  spec.probability = schema::kCampaignProbability.real(*camp);
   return spec;
 }
 
@@ -299,7 +299,7 @@ CampaignOutput run_campaign(const IniFile& ini) {
        << ",\"kinds\":[";
     for (std::size_t i = 0; i < spec.kinds.size(); ++i) {
       if (i != 0) os << ",";
-      os << "\"" << fault_kind_name(spec.kinds[i]) << "\"";
+      os << "\"" << kind_name(spec.kinds[i]) << "\"";
     }
     os << "],\"ports\":[";
     for (std::size_t i = 0; i < spec.ports.size(); ++i) {
@@ -380,7 +380,7 @@ std::string campaign_replay_ini(const IniFile& ini,
   for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
     const FaultSpec& f = scenario.faults[i];
     os << "[fault" << i << "]\n";
-    os << "kind = " << fault_kind_name(f.kind) << "\n";
+    os << "kind = " << kind_name(f.kind) << "\n";
     os << "port = " << f.port << "\n";
     os << "start = " << f.start << "\n";
     os << "duration = " << f.duration << "\n";

@@ -2,21 +2,10 @@
 //
 // A campaign file is a normal experiment description (the base system:
 // [system], [hyperconnect], [haN], [recovery], ...) plus one [campaign]
-// section describing the fault space to sweep:
-//
-//   [campaign]
-//   runs = 100
-//   seed = 1                  ; master seed; run r derives seed_r = f(seed,r)
-//   cycles = 0                ; per-run horizon; 0 = [system] cycles
-//   min_faults = 1            ; faults injected per run, uniform in
-//   max_faults = 3            ;   [min_faults, max_faults]
-//   kinds = stall_w drop_w    ; candidate kinds; default: all injector kinds
-//   ports = 0 1               ; candidate ports; default: every [haN] port
-//   start_min = 2000          ; activation-window start, uniform range
-//   start_max = 20000
-//   duration_min = 200        ; window length, uniform range (>= 1: the
-//   duration_max = 2000       ;   campaign never injects permanent faults)
-//   probability = 1.0         ; per-event probability of every spec
+// section describing the fault space to sweep: how many runs, the master
+// seed, the per-run horizon, and uniform ranges for the fault count, kinds,
+// ports, activation-window start and length, and the per-event probability
+// (the [campaign] rows of config/schema.hpp). Windows are never permanent.
 //
 // The base config must not contain [faultN] sections — the campaign owns
 // the fault description (each run replaces it wholesale), and must contain
@@ -70,8 +59,9 @@ struct CampaignSpec {
 };
 
 /// Parses + validates the [campaign] section against the base system in the
-/// same file (throws ModelError on a missing section, a missing [recovery],
-/// stray [faultN] sections, empty kind/port sets, inverted ranges).
+/// same file (throws ModelError on anything validate_config rejects, a
+/// missing section, a missing [recovery], stray [faultN] sections, unknown
+/// kinds, out-of-range ports, inverted ranges).
 [[nodiscard]] CampaignSpec parse_campaign_spec(const IniFile& ini);
 
 /// The scenario run `run_index` executes: seed_r plus min..max generated

@@ -4,16 +4,31 @@
 //   key = value        ; or # comments
 //   list = 1 2 3       (space-separated)
 //
-// Section names repeat freely ([ha0], [ha1], ...). Lookups are typed with
-// defaults; unknown keys are detectable so the system builder can reject
-// typos instead of silently ignoring them.
+// The parser accepts any section and key names, repeats included; lookups
+// are typed with fallbacks. Which sections, keys and values a config may
+// hold is the schema's business (config/schema.hpp, validate_config).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace axihc {
+
+/// The value spellings the typed lookups accept (config/schema.cpp checks
+/// values with the same functions). Unsigned: decimal, 0x hex or 0 octal, no
+/// sign, at most `max`. Bool: true/false, 1/0, yes/no, on/off. Double: one
+/// whole std::stod number.
+[[nodiscard]] bool parse_unsigned(const std::string& text, std::uint64_t max,
+                                  std::uint64_t& out);
+/// Space-separated unsigned 32-bit list; on failure `bad` (if given) gets
+/// the offending element.
+[[nodiscard]] bool parse_u32_list(const std::string& text,
+                                  std::vector<std::uint32_t>& out,
+                                  std::string* bad = nullptr);
+[[nodiscard]] std::optional<bool> parse_bool(const std::string& text);
+[[nodiscard]] bool parse_double(const std::string& text, double& out);
 
 class IniSection {
  public:

@@ -7,50 +7,12 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "config/schema.hpp"
 #include "hyperconnect/config.hpp"
 #include "obs/chrome_trace.hpp"
 #include "stats/table.hpp"
 
 namespace axihc {
-
-namespace {
-
-Platform platform_by_name(const std::string& name) {
-  if (name == "zcu102") return zcu102_platform();
-  if (name == "zynq7020") return zynq7020_platform();
-  AXIHC_CHECK_MSG(false, "unknown platform '" << name
-                                              << "' (zcu102 | zynq7020)");
-  return zcu102_platform();
-}
-
-DmaMode dma_mode_by_name(const std::string& name) {
-  if (name == "read") return DmaMode::kRead;
-  if (name == "write") return DmaMode::kWrite;
-  if (name == "readwrite") return DmaMode::kReadWrite;
-  if (name == "copy") return DmaMode::kCopy;
-  AXIHC_CHECK_MSG(false, "unknown dma mode '"
-                             << name << "' (read | write | readwrite | copy)");
-  return DmaMode::kRead;
-}
-
-TrafficDirection direction_by_name(const std::string& name) {
-  if (name == "read") return TrafficDirection::kRead;
-  if (name == "write") return TrafficDirection::kWrite;
-  if (name == "mixed") return TrafficDirection::kMixed;
-  AXIHC_CHECK_MSG(false, "unknown traffic direction '"
-                             << name << "' (read | write | mixed)");
-  return TrafficDirection::kRead;
-}
-
-std::vector<DnnLayer> network_by_name(const std::string& name) {
-  if (name == "googlenet") return googlenet_layers();
-  if (name == "alexnet") return alexnet_layers();
-  AXIHC_CHECK_MSG(false,
-                  "unknown network '" << name << "' (googlenet | alexnet)");
-  return {};
-}
-
-}  // namespace
 
 ConfiguredSystem::ConfiguredSystem(const IniFile& ini) {
   build(ini, nullptr);
@@ -63,79 +25,67 @@ ConfiguredSystem::ConfiguredSystem(const IniFile& ini,
 
 void ConfiguredSystem::build(const IniFile& ini,
                              const FaultScenario* scenario_override) {
+  validate_config(ini);
   const IniSection* system = ini.section("system");
   AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
 
-  platform_ = platform_by_name(system->get_string("platform", "zcu102"));
-  configured_cycles_ = system->get_u64("cycles", 1'000'000);
+  platform_ = schema::kSystemPlatform.choice(*system) == 0
+                  ? zcu102_platform()
+                  : zynq7020_platform();
+  configured_cycles_ = schema::kSystemCycles.u64(*system);
 
   SocConfig cfg;
-  const std::string icn = system->get_string("interconnect", "hyperconnect");
-  if (icn == "hyperconnect") {
-    cfg.kind = InterconnectKind::kHyperConnect;
-  } else if (icn == "smartconnect") {
-    cfg.kind = InterconnectKind::kSmartConnect;
-  } else {
-    AXIHC_CHECK_MSG(false, "unknown interconnect '"
-                               << icn
-                               << "' (hyperconnect | smartconnect)");
-  }
+  cfg.kind = static_cast<InterconnectKind>(
+      schema::kSystemInterconnect.choice(*system));
   cfg.num_ports =
-      static_cast<std::uint32_t>(system->get_u64("ports", 2));
+      static_cast<std::uint32_t>(schema::kSystemPorts.u64(*system));
   cfg.mem = platform_.mem;
 
   // Bounded address decode: accesses beyond mem_bytes get DECERR.
-  const std::uint64_t mem_bytes = system->get_u64("mem_bytes", 0);
+  const std::uint64_t mem_bytes = schema::kSystemMemBytes.u64(*system);
   if (mem_bytes != 0) cfg.mem.mapped_ranges.push_back({0, mem_bytes});
 
   // [memN] sections: additional decode-map entries (base/bytes) for
   // scattered mapped regions. The lint address-map check flags overlaps.
-  for (const IniSection* ms : ini.sections_with_prefix("mem")) {
+  for (const IniSection* ms : schema::indexed(ini, "mem")) {
     cfg.mem.mapped_ranges.push_back(
-        {ms->get_u64("base", 0), ms->get_u64("bytes", 0)});
+        {schema::kMemBase.u64(*ms), schema::kMemBytes.u64(*ms)});
   }
 
-  if (const IniSection* hc = ini.section("hyperconnect")) {
-    cfg.hc.nominal_burst =
-        static_cast<BeatCount>(hc->get_u64("nominal_burst", 16));
-    cfg.hc.max_outstanding =
-        static_cast<std::uint32_t>(hc->get_u64("max_outstanding", 4));
-    cfg.hc.reservation_period = hc->get_u64("reservation_period", 0);
-    cfg.hc.initial_budgets = hc->get_u32_list("budgets");
-    cfg.hc.prot_timeout = hc->get_u64("prot_timeout", 0);
-    cfg.hc.out_of_order = hc->get_bool("out_of_order", false);
-    // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth
-    // sets the R/W queue depths, addr_depth the AR/AW queue depths, on the
-    // port AND master eFIFOs. 0 keeps the AxiLinkConfig defaults (32 / 4).
-    const std::uint64_t data_depth = hc->get_u64("data_depth", 0);
-    if (data_depth != 0) {
-      AXIHC_CHECK_MSG(data_depth >= 1, "[hyperconnect] data_depth >= 1");
-      cfg.hc.port_link_cfg.r_depth = data_depth;
-      cfg.hc.port_link_cfg.w_depth = data_depth;
-      cfg.hc.master_link_cfg.r_depth = data_depth;
-      cfg.hc.master_link_cfg.w_depth = data_depth;
-    }
-    const std::uint64_t addr_depth = hc->get_u64("addr_depth", 0);
-    if (addr_depth != 0) {
-      cfg.hc.port_link_cfg.ar_depth = addr_depth;
-      cfg.hc.port_link_cfg.aw_depth = addr_depth;
-      cfg.hc.master_link_cfg.ar_depth = addr_depth;
-      cfg.hc.master_link_cfg.aw_depth = addr_depth;
-    }
-    if (hc->get_string("arbitration", "round_robin") == "qos_priority") {
-      cfg.hc.arbitration = ArbitrationPolicy::kQosPriority;
-    }
-    if (cfg.hc.out_of_order) {
-      cfg.mem.scheduling = MemScheduling::kFrFcfs;
-      cfg.mem.id_order_mask = 0xFFFF0000;
-    }
+  // A missing [hyperconnect] reads as all defaults.
+  const IniSection& hc = schema::section_or_empty(ini, "hyperconnect");
+  cfg.hc.nominal_burst =
+      static_cast<BeatCount>(schema::kHcNominalBurst.u64(hc));
+  cfg.hc.max_outstanding =
+      static_cast<std::uint32_t>(schema::kHcMaxOutstanding.u64(hc));
+  cfg.hc.reservation_period = schema::kHcReservationPeriod.u64(hc);
+  cfg.hc.initial_budgets = schema::kHcBudgets.list(hc);
+  AXIHC_CHECK_MSG(cfg.hc.initial_budgets.size() <= cfg.num_ports,
+                  "[hyperconnect] budgets lists "
+                      << cfg.hc.initial_budgets.size() << " entries for "
+                      << cfg.num_ports << " ports");
+  cfg.hc.prot_timeout = schema::kHcProtTimeout.u64(hc);
+  cfg.hc.out_of_order = schema::kHcOutOfOrder.flag(hc);
+  // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth
+  // sets the R/W queue depths, addr_depth the AR/AW queue depths, on the
+  // port AND master eFIFOs.
+  for (AxiLinkConfig* link : {&cfg.hc.port_link_cfg, &cfg.hc.master_link_cfg}) {
+    link->r_depth = link->w_depth = schema::kHcDataDepth.u64(hc);
+    link->ar_depth = link->aw_depth = schema::kHcAddrDepth.u64(hc);
+  }
+  cfg.hc.arbitration =
+      static_cast<ArbitrationPolicy>(schema::kHcArbitration.choice(hc));
+  if (cfg.hc.out_of_order) {
+    cfg.mem.scheduling = MemScheduling::kFrFcfs;
+    cfg.mem.id_order_mask = 0xFFFF0000;
   }
 
   // [faultN] sections: mem_slverr windows configure the memory controller;
   // everything else becomes an injector fault spec. A scenario override
   // (campaign runs) replaces the file's fault description wholesale.
+  const auto fault_sections = schema::indexed(ini, "fault");
   if (scenario_override != nullptr) {
-    AXIHC_CHECK_MSG(ini.sections_with_prefix("fault").empty(),
+    AXIHC_CHECK_MSG(fault_sections.empty(),
                     "a scenario override replaces all [faultN] sections — "
                     "remove them from the base config");
     for (const FaultSpec& spec : scenario_override->faults) {
@@ -144,35 +94,32 @@ void ConfiguredSystem::build(const IniFile& ini,
     }
     scenario_ = *scenario_override;
   } else {
-    scenario_.seed = system->get_u64("fault_seed", 0);
-    for (const IniSection* fs : ini.sections_with_prefix("fault")) {
-      const std::string kind = fs->get_string("kind", "");
-      if (kind == "mem_slverr") {
+    scenario_.seed = schema::kSystemFaultSeed.u64(*system);
+    for (const IniSection* fs : fault_sections) {
+      const std::size_t kind = schema::kFaultKind.choice(*fs);
+      if (kind == 0) {  // mem_slverr
         cfg.mem.slverr_ranges.push_back(
-            {fs->get_u64("base", 0), fs->get_u64("bytes", 4096)});
+            {schema::kFaultBase.u64(*fs), schema::kFaultBytes.u64(*fs)});
         continue;
       }
-      const auto parsed = fault_kind_from_string(kind);
-      AXIHC_CHECK_MSG(parsed.has_value(),
-                      "[" << fs->name() << "] unknown fault kind '" << kind
-                          << "'");
       FaultSpec spec;
-      spec.kind = *parsed;
-      spec.port = static_cast<PortIndex>(fs->get_u64("port", 0));
+      spec.kind = static_cast<FaultKind>(kind - 1);
+      spec.port = static_cast<PortIndex>(schema::kFaultPort.u64(*fs));
       AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
                       "[" << fs->name() << "] port " << spec.port
                           << " out of range");
-      spec.start = fs->get_u64("start", 0);
-      spec.duration = fs->get_u64("duration", 0);
-      spec.param = fs->get_u64("param", 0);
-      spec.probability = fs->get_double("probability", 1.0);
+      spec.start = schema::kFaultStart.u64(*fs);
+      spec.duration = schema::kFaultDuration.u64(*fs);
+      spec.param = schema::kFaultParam.u64(*fs);
+      spec.probability = schema::kFaultProbability.real(*fs);
       scenario_.faults.push_back(spec);
     }
   }
 
   soc_ = std::make_unique<SocSystem>(cfg);
 
-  const auto ha_sections = ini.sections_with_prefix("ha");
+  // [haN] is the HA on port N (validate_config numbers them 0..n-1).
+  const auto ha_sections = schema::indexed(ini, "ha");
   AXIHC_CHECK_MSG(!ha_sections.empty(),
                   "config needs at least one [haN] section");
   AXIHC_CHECK_MSG(ha_sections.size() <= cfg.num_ports,
@@ -192,20 +139,15 @@ void ConfiguredSystem::build(const IniFile& ini,
     wire_recovery(*rec);
   }
 
-  if (const IniSection* obs = ini.section("observe")) {
-    observe_.trace = obs->get_bool("trace", false);
-    observe_.metrics = obs->get_bool("metrics", false);
-    observe_.sample_every = obs->get_u64("sample_every", 1000);
-    observe_.trace_capacity =
-        static_cast<std::size_t>(obs->get_u64("trace_capacity", 0));
-    observe_.latency_audit = obs->get_bool("latency_audit", false);
-    observe_.flight_capacity =
-        static_cast<std::size_t>(obs->get_u64("flight_capacity", 4096));
-    AXIHC_CHECK_MSG(observe_.sample_every >= 1,
-                    "[observe] sample_every must be >= 1");
-    AXIHC_CHECK_MSG(observe_.flight_capacity >= 1,
-                    "[observe] flight_capacity must be >= 1");
-  }
+  const IniSection& obs = schema::section_or_empty(ini, "observe");
+  observe_.trace = schema::kObserveTrace.flag(obs);
+  observe_.metrics = schema::kObserveMetrics.flag(obs);
+  observe_.sample_every = schema::kObserveSampleEvery.u64(obs);
+  observe_.trace_capacity =
+      static_cast<std::size_t>(schema::kObserveTraceCapacity.u64(obs));
+  observe_.latency_audit = schema::kObserveLatencyAudit.flag(obs);
+  observe_.flight_capacity =
+      static_cast<std::size_t>(schema::kObserveFlightCapacity.u64(obs));
 
   soc_->sim().reset();
 }
@@ -222,12 +164,12 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   hypervisor_ = std::make_unique<Hypervisor>("hv", *driver_);
 
   RecoveryPolicy pol;
-  pol.backoff_base = rec.get_u64("backoff_base", 1000);
-  pol.backoff_max = rec.get_u64("backoff_max", 16000);
-  pol.probation_window = rec.get_u64("probation_window", 2000);
+  pol.backoff_base = schema::kRecoveryBackoffBase.u64(rec);
+  pol.backoff_max = schema::kRecoveryBackoffMax.u64(rec);
+  pol.probation_window = schema::kRecoveryProbationWindow.u64(rec);
   pol.max_attempts =
-      static_cast<std::uint32_t>(rec.get_u64("max_attempts", 4));
-  pol.drain_timeout = rec.get_u64("drain_timeout", 4000);
+      static_cast<std::uint32_t>(schema::kRecoveryMaxAttempts.u64(rec));
+  pol.drain_timeout = schema::kRecoveryDrainTimeout.u64(rec);
   recovery_ = std::make_unique<RecoveryManager>("recovery", *driver_, pol);
   hypervisor_->set_recovery(recovery_.get());
 
@@ -245,13 +187,11 @@ void ConfiguredSystem::wire_recovery(const IniSection& rec) {
   });
 
   WatchdogPolicy wd;
-  recovery_poll_period_ = rec.get_u64("poll_period", 500);
-  AXIHC_CHECK_MSG(recovery_poll_period_ >= 1,
-                  "[recovery] poll_period must be >= 1");
+  recovery_poll_period_ = schema::kRecoveryPollPeriod.u64(rec);
   recovery_probation_window_ = pol.probation_window;
   wd.poll_period = recovery_poll_period_;
   wd.max_txns_per_poll.assign(num_ports,
-                              rec.get_u64("max_txns_per_poll", 0));
+                              schema::kRecoveryMaxTxnsPerPoll.u64(rec));
   wd.auto_isolate = true;
   wd.isolate_on_fault = true;
   hypervisor_->set_watchdog(std::move(wd));
@@ -384,7 +324,7 @@ AxiLink& ConfiguredSystem::attach_port(PortIndex port) {
 }
 
 void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
-  const std::string type = section.get_string("type", "");
+  const std::string type = schema::kHaType.text(section);
   const std::string name = section.name();
   AxiLink& link = attach_port(port);
   const bool ooo = soc_->config().kind == InterconnectKind::kHyperConnect &&
@@ -392,16 +332,16 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
 
   if (type == "dma") {
     DmaConfig cfg;
-    cfg.mode = dma_mode_by_name(section.get_string("mode", "readwrite"));
-    cfg.bytes_per_job = section.get_u64("bytes_per_job", 1u << 20);
-    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
+    cfg.mode = static_cast<DmaMode>(schema::kHaMode.choice(section));
+    cfg.bytes_per_job = schema::kHaBytesPerJob.u64(section);
+    cfg.burst_beats = static_cast<BeatCount>(schema::kHaBurst.u64(section));
     cfg.max_outstanding =
-        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
-    cfg.max_jobs = section.get_u64("max_jobs", 0);
-    cfg.read_base = section.get_u64("read_base", 0x1000'0000 +
-                                                     (Addr{port} << 26));
-    cfg.write_base = section.get_u64("write_base", 0x2000'0000 +
-                                                       (Addr{port} << 26));
+        static_cast<std::uint32_t>(schema::kHaOutstanding.u64(section));
+    cfg.max_jobs = schema::kHaMaxJobs.u64(section);
+    cfg.read_base = schema::kHaReadBase.u64(
+        section, 0x1000'0000 + (Addr{port} << 26));
+    cfg.write_base = schema::kHaWriteBase.u64(
+        section, 0x2000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
@@ -423,13 +363,15 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
         std::make_unique<DmaEngine>(name, link, cfg));
   } else if (type == "traffic") {
     TrafficConfig cfg;
-    cfg.direction = direction_by_name(section.get_string("direction", "read"));
-    cfg.burst_beats = static_cast<BeatCount>(section.get_u64("burst", 16));
-    cfg.gap_cycles = section.get_u64("gap", 0);
+    cfg.direction =
+        static_cast<TrafficDirection>(schema::kHaDirection.choice(section));
+    cfg.burst_beats = static_cast<BeatCount>(schema::kHaBurst.u64(section));
+    cfg.gap_cycles = schema::kHaGap.u64(section);
     cfg.max_outstanding =
-        static_cast<std::uint32_t>(section.get_u64("outstanding", 8));
-    cfg.qos = static_cast<std::uint8_t>(section.get_u64("qos", 0));
-    cfg.base = section.get_u64("base", 0x4000'0000 + (Addr{port} << 26));
+        static_cast<std::uint32_t>(schema::kHaOutstanding.u64(section));
+    cfg.qos = static_cast<std::uint8_t>(schema::kHaQos.u64(section));
+    cfg.base =
+        schema::kHaBase.u64(section, 0x4000'0000 + (Addr{port} << 26));
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
@@ -443,19 +385,19 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
     lint_windows_.push_back({name + " region", {cfg.base, cfg.region_bytes}});
     masters_.push_back(
         std::make_unique<TrafficGenerator>(name, link, cfg));
-  } else if (type == "dnn") {
+  } else {  // dnn
     DnnConfig cfg;
-    cfg.layers = network_by_name(section.get_string("network", "googlenet"));
-    const std::uint64_t scale = section.get_u64("scale", 1);
-    AXIHC_CHECK_MSG(scale >= 1, "[" << name << "] scale must be >= 1");
+    cfg.layers = schema::kHaNetwork.choice(section) == 0 ? googlenet_layers()
+                                                          : alexnet_layers();
+    const std::uint64_t scale = schema::kHaScale.u64(section);
     for (auto& l : cfg.layers) {
       l.weight_bytes /= scale;
       l.ifmap_bytes /= scale;
       l.ofmap_bytes /= scale;
       l.macs /= scale;
     }
-    cfg.macs_per_cycle = section.get_u64("macs_per_cycle", 256);
-    cfg.max_frames = section.get_u64("max_frames", 0);
+    cfg.macs_per_cycle = schema::kHaMacsPerCycle.u64(section);
+    cfg.max_frames = schema::kHaMaxFrames.u64(section);
     cfg.tolerate_out_of_order = ooo;
     ProveHaModel model;
     model.name = name;
@@ -477,9 +419,6 @@ void ConfiguredSystem::add_ha(const IniSection& section, PortIndex port) {
         {name + " ofmap buffer", {cfg.buffer_base, store_max}});
     masters_.push_back(
         std::make_unique<DnnAccelerator>(name, link, cfg));
-  } else {
-    AXIHC_CHECK_MSG(false, "[" << name << "] unknown HA type '" << type
-                               << "' (dma | traffic | dnn)");
   }
   ha_types_.push_back(type);
   soc_->add(*masters_.back());

@@ -1,62 +1,9 @@
 // Builds a complete runnable system from an INI experiment description —
-// the engine behind the axihc CLI (tools/axihc.cpp). Lets users run
-// interconnect experiments without writing C++:
-//
-//   [system]
-//   interconnect = hyperconnect      ; hyperconnect | smartconnect
-//   platform = zcu102                ; zcu102 | zynq7020
-//   ports = 2
-//   cycles = 1000000
-//
-//   [hyperconnect]                   ; optional, defaults shown
-//   nominal_burst = 16
-//   max_outstanding = 4
-//   reservation_period = 2000
-//   budgets = 40 20
-//
-//   [ha0]
-//   type = dma                       ; dma | traffic | dnn
-//   mode = readwrite                 ; dma: read | write | readwrite | copy
-//   bytes_per_job = 1048576
-//   burst = 16
-//
-//   [ha1]
-//   type = dnn
-//   network = googlenet              ; googlenet | alexnet
-//   scale = 16
-//
-//   [fault0]                         ; optional fault-injection scenario
-//   kind = stall_w                   ; see fault/scenario.hpp; or mem_slverr
-//   port = 0
-//   start = 2000
-//   duration = 0                     ; 0 = forever
-//
-//   [recovery]                       ; optional closed-loop fault recovery
-//   poll_period = 500                ; watchdog poll period (cycles)
-//   max_txns_per_poll = 0            ; overrun threshold, all ports; 0 = off
-//   backoff_base = 1000              ; first quarantine wait (cycles)
-//   backoff_max = 16000              ; backoff doubling ceiling
-//   probation_window = 2000          ; fault-free cycles to count recovered
-//   max_attempts = 4                 ; re-couple attempts before permanent
-//   drain_timeout = 4000             ; max wait for INFLIGHT == 0
-//
-//   [observe]                        ; optional observability layer
-//   trace = true                     ; record typed events (Chrome trace)
-//   metrics = true                   ; sample the metrics registry
-//   sample_every = 1000              ; sampler period / APM window (cycles)
-//   trace_capacity = 0               ; max retained events; 0 = unbounded
-//
-// Fault-targeted ports get a FaultInjector spliced between the HA and the
-// interconnect; "mem_slverr" entries instead configure an SLVERR window
-// (base/bytes keys) on the memory controller. [system] fault_seed seeds the
-// injectors; [system] mem_bytes bounds the decoded address space (accesses
-// beyond it get DECERR); [hyperconnect] prot_timeout arms the per-port
-// protection units.
-//
-// A [recovery] section (hyperconnect only) assembles the full software
-// stack behind the control interface — RegisterMaster, driver, Hypervisor
-// watchdog, RecoveryManager — so detected faults start closed-loop recovery
-// episodes (src/recovery) instead of permanently retiring the port.
+// the engine behind the axihc CLI (tools/axihc.cpp). The keys, their
+// defaults and ranges are the rows of config/schema.hpp; examples/configs/
+// holds complete files. [faultN] injector faults splice a FaultInjector
+// between the HA and its port, and [recovery] adds the hypervisor recovery
+// stack (src/recovery) behind the control interface.
 #pragma once
 
 #include <memory>

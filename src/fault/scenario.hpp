@@ -14,14 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace axihc {
 
+/// Spelled in config files as the [faultN] kind choices of
+/// config/schema.hpp, which list the kinds in this order after mem_slverr.
 enum class FaultKind : std::uint8_t {
   kStallAr,        ///< swallow AR-channel readiness: requests pile up
   kStallAw,        ///< same for AW
@@ -60,15 +60,5 @@ struct FaultScenario {
   std::uint64_t seed = 0;
   std::vector<FaultSpec> faults;
 };
-
-/// Parses the config-file spelling of a fault kind ("stall_w", "drop_w",
-/// "delay_w", "truncate_write", "corrupt_len", ...). Returns nullopt for
-/// unknown spellings — including "mem_slverr", which is not an injector
-/// fault (system_builder routes it to the memory controller).
-[[nodiscard]] std::optional<FaultKind> fault_kind_from_string(
-    const std::string& s);
-
-/// Human-readable name of a fault kind (logging / error messages).
-[[nodiscard]] const char* fault_kind_name(FaultKind kind);
 
 }  // namespace axihc

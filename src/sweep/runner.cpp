@@ -317,7 +317,7 @@ SweepSummary run_sweep(const IniFile& ini, const SweepOptions& opts) {
     }
 
     // Dedup within the batch: axes whose values canonicalize to the same
-    // config (e.g. `0x10 | 16`, or a swept key the builder ignores) simulate
+    // config (e.g. `0x10 | 16`, or `yes | true`) simulate
     // once; the duplicates borrow the fragment and count as cache hits. With
     // caching on, cross-batch duplicates hit the stored entry instead.
     std::vector<std::size_t> miss_slots;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "config/schema.hpp"
 
 namespace axihc {
 
@@ -99,32 +100,21 @@ SweepSpec parse_sweep_spec(const IniFile& ini) {
   AXIHC_CHECK_MSG(sw != nullptr, "--sweep needs a [sweep] section");
   AXIHC_CHECK_MSG(ini.section("campaign") == nullptr,
                   "a file cannot hold both [sweep] and [campaign]");
+  // The base description and every axis's (section, key), duplicates
+  // included; axis values are checked per cell, so a bad one becomes that
+  // cell's error row.
+  validate_config(ini);
 
   SweepSpec spec;
-  spec.name = sw->get_string("name", "sweep");
-  spec.cycles = sw->get_u64("cycles", 0);
+  spec.name = schema::kSweepName.text(*sw);
+  spec.cycles = schema::kSweepCycles.u64(*sw);
 
   for (const auto& [key, value] : sw->entries()) {
-    if (key == "name" || key == "cycles") continue;
-    AXIHC_CHECK_MSG(key.rfind("axis.", 0) == 0,
-                    "[sweep] unknown key '" << key
-                                            << "' (expected axis.<section>."
-                                               "<key>, name, or cycles)");
-    const std::string target = key.substr(5);
-    const std::size_t dot = target.find('.');
-    AXIHC_CHECK_MSG(dot != std::string::npos && dot > 0 &&
-                        dot + 1 < target.size(),
-                    "[sweep] axis '" << key
-                                     << "' must name axis.<section>.<key>");
+    if (key.rfind("axis.", 0) != 0) continue;
+    const std::size_t dot = key.find('.', 5);  // shape checked above
     SweepAxis axis;
-    axis.section = target.substr(0, dot);
-    axis.key = target.substr(dot + 1);
-    AXIHC_CHECK_MSG(axis.section != "sweep",
-                    "[sweep] cannot sweep the [sweep] section itself");
-    for (const SweepAxis& existing : spec.axes) {
-      AXIHC_CHECK_MSG(existing.id() != axis.id(),
-                      "[sweep] duplicate axis '" << axis.id() << "'");
-    }
+    axis.section = key.substr(5, dot - 5);
+    axis.key = key.substr(dot + 1);
     axis.values = expand_axis_values(value);
     spec.axes.push_back(std::move(axis));
   }

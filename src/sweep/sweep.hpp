@@ -61,10 +61,10 @@ struct SweepSpec {
 [[nodiscard]] std::vector<std::string> expand_axis_values(
     const std::string& raw);
 
-/// Parses + validates the [sweep] section against the base description
-/// (throws on a missing section, unknown [sweep] keys, malformed axis
-/// declarations, a [campaign] section — campaigns and sweeps are separate
-/// products — or a cell count above the 2^20 safety cap).
+/// Parses + validates the spec: validate_config() over the whole file
+/// (base sections, [sweep] keys, every axis's section and key, duplicate
+/// axes), a [campaign] section — campaigns and sweeps are separate
+/// products — and a cell count above the 2^20 safety cap.
 [[nodiscard]] SweepSpec parse_sweep_spec(const IniFile& ini);
 
 /// The full config of cell `cell`: base minus [sweep], axis overrides

@@ -1,11 +1,14 @@
-// INI parser and config-driven system builder tests (the axihc CLI engine).
+// INI parser, config schema and config-driven system builder tests (the
+// axihc CLI engine).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "config/canonical.hpp"
 #include "config/ini.hpp"
+#include "config/schema.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/hyperconnect.hpp"
 
@@ -197,6 +200,115 @@ TEST(SystemBuilder, RejectsBadConfigs) {
   EXPECT_THROW(build_system("[system]\ncycles=1\n[ha0]\ntype = dnn\n"
                             "network = vgg\n"),
                ModelError);
+}
+
+/// The ModelError `text` raises when built, or "" when it builds.
+std::string build_error(const std::string& text) {
+  try {
+    (void)build_system(text);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::uint64_t state_after(const std::string& text, Cycle cycles) {
+  auto system = build_system(text);
+  system->run(cycles);
+  return system->soc().sim().state_digest();
+}
+
+TEST(Schema, RejectsWhatNoReaderUses) {
+  const std::string sys = "[system]\ncycles = 2000\n";
+  const std::string traffic = "[ha0]\ntype = traffic\n";
+  struct Case {
+    std::string text;
+    std::string names;  // the section and key the error must name
+  };
+  const Case cases[] = {
+      {"[system]\ncycels = 5\n" + traffic, "[system] cycels = 5"},
+      {sys + "[hyperconect]\n" + traffic, "[hyperconect]: unknown section"},
+      {sys + "[hyperconnect]\narbitration = qos_prio\n" + traffic,
+       "[hyperconnect] arbitration = qos_prio"},
+      {sys + traffic + "burst = 0\n", "[ha0] burst = 0"},
+      {sys + traffic + "burst = 4294967312\n", "[ha0] burst = 4294967312"},
+      {sys + "[ha0]\ntype = dnn\nburst = 16\n", "[ha0] burst = 16"},
+      {sys + traffic + "qos = 256\n", "[ha0] qos = 256"},
+      {sys + "[ha0]\ntype = dma\noutstanding = 0\n", "[ha0] outstanding"},
+      {"[system]\nports = 0\n" + traffic, "[system] ports = 0"},
+      {sys + "[hyperconnect]\ndata_depth = 0\n" + traffic,
+       "[hyperconnect] data_depth = 0"},
+      {sys + "[hyperconnect]\nbudgets = 8 x\n" + traffic,
+       "[hyperconnect] budgets = 8 x"},
+      {sys + traffic + "gap = 1\ngap = 2\n", "[ha0] gap = 2: duplicate key"},
+      {sys + "[ha0]\ntype = warp\n", "[ha0] type = warp"},
+      {sys + "[ha0]\nburst = 8\n", "[ha0] type: missing"},
+      {sys + traffic + "[fault0]\nkind = mem_slverr\nport = 0\n",
+       "[fault0] port = 0"},
+      {sys + traffic + "[fault0]\nkind = stall_w\nprobability = 1.5\n",
+       "[fault0] probability = 1.5"},
+      {sys + traffic + "[observe]\nsample_every = 0\n",
+       "[observe] sample_every = 0"},
+      {sys + traffic + "[recovery]\npoll_period = 0\n",
+       "[recovery] poll_period = 0"},
+  };
+  for (const Case& c : cases) {
+    const std::string error = build_error(c.text);
+    EXPECT_NE(error.find(c.names), std::string::npos) << c.text << error;
+    // A config error, not an invariant check deep in a constructor.
+    EXPECT_EQ(error.find("check failed"), std::string::npos) << error;
+  }
+  EXPECT_NE(build_error(sys + "[ha0]\ntype = dnn\nburst = 16\n")
+                .find("(known in [ha0]: type network scale macs_per_cycle "
+                      "max_frames)"),
+            std::string::npos);
+}
+
+TEST(Schema, SectionIndexDecidesThePort) {
+  const std::string ha0 = "[ha0]\ntype = dma\nbytes_per_job = 65536\n";
+  const std::string ha1 = "[ha1]\ntype = traffic\ngap = 3\n";
+  // [ha1] written first is still the HA on port 1: same digest, same system.
+  EXPECT_EQ(config_digest("[system]\n" + ha0 + ha1),
+            config_digest("[system]\n" + ha1 + ha0));
+  EXPECT_EQ(state_after("[system]\n" + ha0 + ha1, 3000),
+            state_after("[system]\n" + ha1 + ha0, 3000));
+  EXPECT_EQ(build_system("[system]\n" + ha1 + ha0)->ha_type(0), "dma");
+
+  // [faultN] apply in index order, whatever the file order.
+  const std::string f0 = "[fault0]\nkind = delay_w\nstart = 100\nparam = 2\n";
+  const std::string f1 = "[fault1]\nkind = stall_w\nstart = 50\n";
+  const auto faults = build_system("[system]\n" + ha0 + ha1 + f1 + f0)
+                          ->fault_scenario()
+                          .faults;
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_EQ(faults[0].kind, FaultKind::kDelayW);
+  EXPECT_EQ(state_after("[system]\n" + ha0 + ha1 + f1 + f0, 3000),
+            state_after("[system]\n" + ha0 + ha1 + f0 + f1, 3000));
+
+  const std::string system = "[system]\n";
+  EXPECT_NE(build_error(system + ha0 + ha0).find("[ha0]: duplicate section"),
+            std::string::npos);
+  EXPECT_NE(build_error(system + ha0 + "[ha2]\ntype = dma\n")
+                .find("[ha2]: HA sections must be numbered ha0..ha1"),
+            std::string::npos);
+  for (const char* bad : {"hax", "ha01", "ha", "fault", "memory"}) {
+    EXPECT_NE(build_error(system + ha0 + "[" + bad + "]\n")
+                  .find(std::string("[") + bad + "]: unknown section"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_NE(build_error(system + ha0 + system).find("[system]: duplicate"),
+            std::string::npos);
+  EXPECT_NE(build_error(system + ha0 + f0 + f0).find("[fault0]: duplicate"),
+            std::string::npos);
+}
+
+TEST(SystemBuilder, RejectsMoreBudgetsThanPorts) {
+  // The interconnect would silently drop the third budget.
+  EXPECT_NE(build_error("[system]\nports = 2\n[hyperconnect]\n"
+                        "budgets = 8 8 8\n[ha0]\ntype = traffic\n")
+                .find("[hyperconnect] budgets lists 3 entries for 2 ports"),
+            std::string::npos);
 }
 
 TEST(SystemBuilder, QosPriorityArbitrationSelectable) {

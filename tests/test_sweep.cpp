@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "common/check.hpp"
 #include "config/canonical.hpp"
 #include "config/ini.hpp"
+#include "config/schema.hpp"
+#include "config/system_builder.hpp"
 #include "sweep/code_version.hpp"
 #include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
@@ -90,21 +94,84 @@ TEST(Canonical, FirstDuplicateWins) {
 }
 
 TEST(Canonical, DefaultedKeysDropButSectionsSurvive) {
-  // Spelling out a default does not change the digest...
-  EXPECT_EQ(config_digest("[hyperconnect]\nnominal_burst = 16\n"),
-            config_digest("[hyperconnect]\n"));
-  // ...but an empty [recovery] is NOT the same system as no [recovery]:
+  // Spelled-out defaults drop (Canonical.DefaultElisionIsSound checks every
+  // row), but an empty [recovery] is NOT the same system as no [recovery]:
   // the section's presence builds the hypervisor stack.
   EXPECT_NE(config_digest("[system]\n[recovery]\n"),
             config_digest("[system]\n"));
 }
 
-TEST(Canonical, DepthAlternativesCollapse) {
-  // data_depth = 32 spells the structural default (0 = "unset").
-  EXPECT_EQ(config_digest("[hyperconnect]\ndata_depth = 32\n"),
-            config_digest("[hyperconnect]\ndata_depth = 0\n"));
-  EXPECT_NE(config_digest("[hyperconnect]\ndata_depth = 64\n"),
-            config_digest("[hyperconnect]\ndata_depth = 0\n"));
+/// A config holding `line` in a section of `key`'s family and scope.
+std::string config_with(const schema::Key& key, std::uint8_t scope,
+                        const std::string& line) {
+  const std::string family(key.section);
+  const std::string ha_type = scope == schema::kDma   ? "dma"
+                              : scope == schema::kDnn ? "dnn"
+                                                      : "traffic";
+  std::string text = "[system]\n" + (family == "system" ? line : "") +
+                     "[ha0]\ntype = " + (family == "ha" ? ha_type : "traffic") +
+                     "\n" + (family == "ha" ? line : "");
+  if (family == "fault") {
+    text += std::string("[fault0]\nkind = ") +
+            (scope == schema::kMemSlverr ? "mem_slverr" : "stall_w") + "\n" +
+            line;
+  } else if (family == "mem") {
+    text += "[mem0]\n" + line;
+  } else if (family != "system" && family != "ha") {
+    text += "[" + family + "]\n" + line;
+  }
+  return family == "campaign" ? text + "[recovery]\n" : text;
+}
+
+std::string campaign_fields(const IniFile& ini) {
+  const CampaignSpec c = parse_campaign_spec(ini);
+  std::ostringstream os;
+  os << c.runs << ' ' << c.seed << ' ' << c.cycles << ' ' << c.min_faults
+     << ' ' << c.max_faults << ' ' << c.duration_min << ' ' << c.duration_max
+     << ' ' << c.probability;
+  return os.str();
+}
+
+TEST(Canonical, DefaultElisionIsSound) {
+  // Every row with a constant default: spelling it and omitting it give the
+  // same config digest and the same simulated state (and, for [campaign]
+  // and [sweep], the same parsed spec), in the row's section and scope.
+  std::size_t checked = 0;
+  for (const schema::Key* key : schema::kKeys) {
+    if (key->dflt == nullptr) continue;
+    // One config per scope bit the row applies to; one for unscoped rows.
+    std::vector<std::uint8_t> scopes;
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      if (((key->scope >> bit) & 1u) != 0) {
+        scopes.push_back(static_cast<std::uint8_t>(1u << bit));
+      }
+    }
+    if (scopes.empty()) scopes.push_back(schema::kAll);
+    for (const std::uint8_t scope : scopes) {
+      const std::string spelled = std::string(key->name) + " = " + key->dflt +
+                                  "\n";
+      const IniFile with = IniFile::parse(config_with(*key, scope, spelled));
+      const IniFile without = IniFile::parse(config_with(*key, scope, ""));
+      const std::string what = config_with(*key, scope, spelled);
+      EXPECT_EQ(config_digest(with), config_digest(without)) << what;
+      ConfiguredSystem a(with);
+      ConfiguredSystem b(without);
+      a.run(2000);
+      b.run(2000);
+      EXPECT_EQ(a.soc().sim().state_digest(), b.soc().sim().state_digest())
+          << what;
+      if (key->section == "campaign") {
+        EXPECT_EQ(campaign_fields(with), campaign_fields(without)) << what;
+      }
+      if (key->section == "sweep") {
+        EXPECT_EQ(parse_sweep_spec(with).name, parse_sweep_spec(without).name);
+        EXPECT_EQ(parse_sweep_spec(with).cycles,
+                  parse_sweep_spec(without).cycles);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 55u);
 }
 
 TEST(Canonical, IniReplacePrimitive) {
@@ -168,7 +235,7 @@ TEST(SweepSpec, RejectsMalformedSpecs) {
       (void)parse_sweep_spec(IniFile::parse("[sweep]\naxis.nokey = 1\n")),
       ModelError);
   EXPECT_THROW((void)parse_sweep_spec(IniFile::parse(
-                   "[sweep]\naxis.a.k = 1\naxis.a.k = 2\n")),
+                   "[sweep]\naxis.ha0.burst = 8\naxis.ha0.burst = 16\n")),
                ModelError);  // duplicate axis
   EXPECT_THROW((void)parse_sweep_spec(IniFile::parse(
                    "[sweep]\naxis.sweep.cycles = 1 | 2\n")),
@@ -176,6 +243,36 @@ TEST(SweepSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_sweep_spec(
                    IniFile::parse("[sweep]\n[campaign]\nruns = 2\n")),
                ModelError);  // campaigns and sweeps don't mix
+}
+
+TEST(SweepSpec, AxesMustNameSchemaKeys) {
+  const std::string base =
+      "[system]\n[ha0]\ntype = dnn\n[ha1]\ntype = traffic\n[sweep]\n";
+  const auto error = [&base](const std::string& axis) -> std::string {
+    try {
+      (void)parse_sweep_spec(IniFile::parse(base + axis));
+    } catch (const ModelError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // A misspelled key would make phantom "distinct" cells of one system.
+  EXPECT_NE(error("axis.hyperconnect.reservaton_period = 1000 | 2000\n")
+                .find("reservaton_period = 1000 | 2000: unknown key (known in "
+                      "[hyperconnect]: nominal_burst"),
+            std::string::npos);
+  EXPECT_NE(error("axis.hyperconect.nominal_burst = 8\n")
+                .find("nominal_burst = 8: unknown section [hyperconect]"),
+            std::string::npos);
+  // burst belongs to dma/traffic HAs: not to the dnn [ha0]...
+  EXPECT_NE(error("axis.ha0.burst = 8 | 16\n")
+                .find("unknown key (known in [ha0]: type network"),
+            std::string::npos);
+  // ...unless the axes sweep its type, or the section is new.
+  EXPECT_EQ(error("axis.ha0.type = dma | dnn\naxis.ha0.burst = 8 | 16\n"), "");
+  EXPECT_EQ(error("axis.ha1.burst = 8 | 16\naxis.ha2.gap = 0 | 4\n"), "");
+  // Values are checked per cell, not here (see ProveSweep).
+  EXPECT_EQ(error("axis.ha1.burst = 0 | 16\n"), "");
 }
 
 TEST(SweepSpec, CellConfigIsPureOverride) {

@@ -29,10 +29,11 @@
 // from this run's rows — or, without --sweep, from a saved row file ("-"
 // writes to stdout).
 //
-// --config-digest prints the 64-bit digest of the config's canonical form
-// (stable across key order, whitespace, comments, numeric base, and
-// explicitly-spelled defaults — see src/config/canonical.hpp);
-// --config-canonical prints the canonical text itself.
+// --config-digest validates the config (src/config/schema.hpp) and prints
+// the 64-bit digest of its canonical form (stable across key order,
+// whitespace, comments, numeric base, and explicitly-spelled defaults — see
+// src/config/canonical.hpp); --config-canonical prints the canonical text
+// itself. Config errors print as `axihc: <file>: [section] key = value: ...`.
 //
 // --campaign runs the Monte Carlo fault campaign described by the file's
 // [campaign] section (src/campaign): seeded randomized fault mixes against
@@ -75,6 +76,7 @@
 #include "campaign/campaign.hpp"
 #include "common/check.hpp"
 #include "config/canonical.hpp"
+#include "config/schema.hpp"
 #include "config/system_builder.hpp"
 #include "sim/phase_check.hpp"
 #include "sweep/code_version.hpp"
@@ -286,6 +288,7 @@ int main(int argc, char** argv) {
   try {
     if (config_digest_mode || config_canonical_mode) {
       const axihc::IniFile ini = axihc::IniFile::parse(text.str());
+      axihc::validate_config(ini);
       if (config_canonical_mode) std::cout << axihc::canonical_ini(ini);
       if (config_digest_mode) {
         char buf[32];
@@ -532,7 +535,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } catch (const axihc::ModelError& e) {
-    std::cerr << "axihc: " << e.what() << "\n";
+    std::cerr << "axihc: " << argv[1] << ": " << e.what() << "\n";
     return 1;
   }
   return 0;
