@@ -245,6 +245,45 @@ void validate_config(const IniFile& ini) {
     reject(*last_ha, ": HA sections must be numbered ha0..ha" +
                          std::to_string(has - 1) + " without gaps");
   }
+
+  // Cross-key constraints, on the values the readers will see (a missing
+  // section or key reads as its default).
+  const auto conflict = [](const char* section, const Key& k,
+                           const IniSection& s, const std::string& why) {
+    throw ModelError(std::string("[") + section + "] " + k.name + " = " +
+                     k.text(s) + ": " + why);
+  };
+  const IniSection& sys = section_or_empty(ini, "system");
+  const std::uint64_t ports = kSystemPorts.u64(sys);
+  if (has > ports) {
+    conflict("system", kSystemPorts, sys,
+             "fewer ports than the " + std::to_string(has) +
+                 " [haN] sections");
+  }
+  const IniSection& hc = section_or_empty(ini, "hyperconnect");
+  if (const std::size_t n = kHcBudgets.list(hc).size(); n > ports) {
+    conflict("hyperconnect", kHcBudgets, hc,
+             std::to_string(n) + " entries for " + std::to_string(ports) +
+                 " ports");
+  }
+  for (const IniSection* f : indexed(ini, "fault")) {
+    if (scope_of(*f) == kInjector && kFaultPort.u64(*f) >= ports) {
+      conflict(f->name().c_str(), kFaultPort, *f,
+               "expected a port below [system] ports = " +
+                   std::to_string(ports));
+    }
+  }
+  const IniSection& rec = section_or_empty(ini, "recovery");
+  const std::uint64_t base = kRecoveryBackoffBase.u64(rec);
+  const std::uint64_t max = kRecoveryBackoffMax.u64(rec);
+  if (max < base) {
+    // Name backoff_max unless only backoff_base is spelled.
+    const bool named_max = rec.has(kRecoveryBackoffMax.name);
+    conflict("recovery", named_max ? kRecoveryBackoffMax : kRecoveryBackoffBase,
+             rec,
+             named_max ? "below backoff_base = " + std::to_string(base)
+                       : "above backoff_max = " + std::to_string(max));
+  }
 }
 
 }  // namespace axihc

@@ -84,15 +84,15 @@ inline constexpr Key kHcBudgets{"hyperconnect", kAll, "budgets", kU32List, nullp
 inline constexpr Key kHcProtTimeout{"hyperconnect", kAll, "prot_timeout", kU64, "0", 0, kMax, nullptr, "protection-unit timeout in cycles; 0 = off"};
 inline constexpr Key kHcOutOfOrder{"hyperconnect", kAll, "out_of_order", kBool, "false", 0, 0, nullptr, "ID-extension mode over an FR-FCFS memory"};
 inline constexpr Key kHcArbitration{"hyperconnect", kAll, "arbitration", kChoice, "round_robin", 0, 0, "round_robin qos_priority", "EXBAR arbitration policy"};
-inline constexpr Key kHcDataDepth{"hyperconnect", kAll, "data_depth", kU64, "32", 1, 1u << 30, nullptr, "R/W eFIFO depth, port and master side"};
-inline constexpr Key kHcAddrDepth{"hyperconnect", kAll, "addr_depth", kU64, "4", 1, 1u << 30, nullptr, "AR/AW eFIFO depth, port and master side"};
+inline constexpr Key kHcDataDepth{"hyperconnect", kAll, "data_depth", kU64, "32", 1, 1u << 16, nullptr, "R/W eFIFO depth, port and master side"};
+inline constexpr Key kHcAddrDepth{"hyperconnect", kAll, "addr_depth", kU64, "4", 1, 1u << 16, nullptr, "AR/AW eFIFO depth, port and master side"};
 
 inline constexpr Key kObserveTrace{"observe", kAll, "trace", kBool, "false", 0, 0, nullptr, "record typed events for the Chrome trace"};
 inline constexpr Key kObserveMetrics{"observe", kAll, "metrics", kBool, "false", 0, 0, nullptr, "sample the metrics registry"};
 inline constexpr Key kObserveSampleEvery{"observe", kAll, "sample_every", kU64, "1000", 1, kMax, nullptr, "sampler period and APM window in cycles"};
 inline constexpr Key kObserveTraceCapacity{"observe", kAll, "trace_capacity", kU64, "0", 0, kMax, nullptr, "retained trace events; 0 = unbounded"};
 inline constexpr Key kObserveLatencyAudit{"observe", kAll, "latency_audit", kBool, "false", 0, 0, nullptr, "latency provenance and live WCLA bound audit"};
-inline constexpr Key kObserveFlightCapacity{"observe", kAll, "flight_capacity", kU64, "4096", 1, kMax, nullptr, "completed transactions the flight recorder keeps"};
+inline constexpr Key kObserveFlightCapacity{"observe", kAll, "flight_capacity", kU64, "4096", 1, 1u << 20, nullptr, "completed transactions the flight recorder keeps"};
 
 inline constexpr Key kRecoveryPollPeriod{"recovery", kAll, "poll_period", kU64, "500", 1, kMax, nullptr, "watchdog poll period in cycles"};
 inline constexpr Key kRecoveryMaxTxnsPerPoll{"recovery", kAll, "max_txns_per_poll", kU64, "0", 0, kMax, nullptr, "overrun threshold per poll, every port; 0 = off"};
@@ -131,7 +131,7 @@ inline constexpr Key kFaultProbability{"fault", kInjector, "probability", kProba
 inline constexpr Key kMemBase{"mem", kAll, "base", kU64, "0", 0, kMax, nullptr, "extra decoded region base"};
 inline constexpr Key kMemBytes{"mem", kAll, "bytes", kU64, "0", 0, kMax, nullptr, "extra decoded region size"};
 
-inline constexpr Key kCampaignRuns{"campaign", kAll, "runs", kU64, "100", 1, kMax, nullptr, "randomized runs"};
+inline constexpr Key kCampaignRuns{"campaign", kAll, "runs", kU64, "100", 1, 1u << 20, nullptr, "randomized runs"};
 inline constexpr Key kCampaignSeed{"campaign", kAll, "seed", kU64, "1", 0, kMax, nullptr, "master seed; every run derives its own"};
 inline constexpr Key kCampaignCycles{"campaign", kAll, "cycles", kU64, "0", 0, kMax, nullptr, "per-run horizon; 0 = [system] cycles"};
 inline constexpr Key kCampaignMinFaults{"campaign", kAll, "min_faults", kU64, "1", 0, UINT32_MAX, nullptr, "fewest faults per run"};
@@ -194,7 +194,10 @@ namespace axihc {
 /// allowed: unknown, duplicate or misnumbered sections, unknown or
 /// duplicate keys (a [sweep] axis.<section>.<key> must name a known key
 /// too), a missing [haN] type or [faultN] kind, malformed or out-of-range
-/// values and unknown choices. Axis values are checked per cell.
+/// values, unknown choices, and values that conflict across keys (more
+/// [haN] sections or budgets than [system] ports, a [faultN] port beyond
+/// them, backoff_max below backoff_base; defaults included). Axis values
+/// are checked per cell.
 void validate_config(const IniFile& ini);
 
 }  // namespace axihc

@@ -60,10 +60,6 @@ void ConfiguredSystem::build(const IniFile& ini,
       static_cast<std::uint32_t>(schema::kHcMaxOutstanding.u64(hc));
   cfg.hc.reservation_period = schema::kHcReservationPeriod.u64(hc);
   cfg.hc.initial_budgets = schema::kHcBudgets.list(hc);
-  AXIHC_CHECK_MSG(cfg.hc.initial_budgets.size() <= cfg.num_ports,
-                  "[hyperconnect] budgets lists "
-                      << cfg.hc.initial_budgets.size() << " entries for "
-                      << cfg.num_ports << " ports");
   cfg.hc.prot_timeout = schema::kHcProtTimeout.u64(hc);
   cfg.hc.out_of_order = schema::kHcOutOfOrder.flag(hc);
   // eFIFO structural knobs (the fifo-depth ablation sweep): data_depth
@@ -105,9 +101,6 @@ void ConfiguredSystem::build(const IniFile& ini,
       FaultSpec spec;
       spec.kind = static_cast<FaultKind>(kind - 1);
       spec.port = static_cast<PortIndex>(schema::kFaultPort.u64(*fs));
-      AXIHC_CHECK_MSG(spec.port < cfg.num_ports,
-                      "[" << fs->name() << "] port " << spec.port
-                          << " out of range");
       spec.start = schema::kFaultStart.u64(*fs);
       spec.duration = schema::kFaultDuration.u64(*fs);
       spec.param = schema::kFaultParam.u64(*fs);
@@ -122,10 +115,6 @@ void ConfiguredSystem::build(const IniFile& ini,
   const auto ha_sections = schema::indexed(ini, "ha");
   AXIHC_CHECK_MSG(!ha_sections.empty(),
                   "config needs at least one [haN] section");
-  AXIHC_CHECK_MSG(ha_sections.size() <= cfg.num_ports,
-                  "more [haN] sections (" << ha_sections.size()
-                                          << ") than interconnect ports ("
-                                          << cfg.num_ports << ")");
   for (PortIndex port = 0; port < ha_sections.size(); ++port) {
     add_ha(*ha_sections[port], port);
   }
@@ -550,7 +539,7 @@ ProveReport ConfiguredSystem::prove() const {
 
 LintReport ConfiguredSystem::lint() const {
   const SocConfig& cfg = soc_->config();
-  DesignRuleChecker drc(soc_->sim());
+  DesignRuleChecker drc;
 
   for (const AddrRange& r : cfg.mem.mapped_ranges) {
     drc.add_address_range("memory decode map", r, AddressKind::kDecode);

@@ -9,7 +9,6 @@
 #include "sim/channel.hpp"
 #include "sim/component.hpp"
 #include "sim/phase_check.hpp"
-#include "sim/simulator.hpp"
 
 namespace axihc {
 
@@ -147,7 +146,6 @@ LintReport DesignRuleChecker::run() const {
   check_address_map(report);
   check_widths(report);
   check_phase_races(report);
-  check_pool_slots(report);
   return report;
 }
 
@@ -279,19 +277,6 @@ void DesignRuleChecker::check_phase_races(LintReport& report) const {
                     ")",
                 "keep tick() two-phase: stage pushes, consume committed "
                 "elements, and leave commit() to the engine"});
-  }
-}
-
-void DesignRuleChecker::check_pool_slots(LintReport& report) const {
-  for (const HotStatePool::SlotInfo& slot : sim_->hot_pool().slots()) {
-    if (slot.owner != nullptr) continue;
-    report.add({LintSeverity::kWarning, "undeclared-pool-slot",
-                "pool:" + slot.what,
-                "hot-state pool slot '" + slot.what + "' (" +
-                    std::to_string(slot.words) +
-                    " words) was allocated without an owning component",
-                "pass the owning component to alloc_u32/alloc_u64 "
-                "(adopt() from the component's adopt_hot_state)"});
   }
 }
 

@@ -9,10 +9,7 @@
 //
 // Checks (ids as reported):
 //   phase-race              two-phase discipline violation recorded by the
-//                           race detector (sim/phase_check.hpp); covers
-//                           hot-pool slot writes during the commit phase
-//   undeclared-pool-slot    hot-state pool slot (sim/soa_pool.hpp) with no
-//                           owner declaration
+//                           race detector (sim/phase_check.hpp)
 //   unconnected-link        a port bundle with fewer than two attached
 //                           components (dangling master/slave port)
 //   address-overlap         overlapping decode-map entries, or two HA job
@@ -42,7 +39,6 @@
 namespace axihc {
 
 class AxiLink;
-class Simulator;
 
 enum class LintSeverity : std::uint8_t { kNote, kWarning, kError };
 
@@ -92,13 +88,11 @@ enum class AddressKind : std::uint8_t {
 };
 
 /// Collects topology facts about an elaborated system, then runs every
-/// design rule over them plus the Simulator's registered graph.
+/// design rule over them.
 /// ConfiguredSystem::lint() assembles one from an INI system; tests and
 /// hand-built systems feed it directly.
 class DesignRuleChecker {
  public:
-  explicit DesignRuleChecker(const Simulator& sim) : sim_(&sim) {}
-
   /// Declares that `link` must have at least two attached components
   /// (e.g. an interconnect port and the HA mastering it).
   void expect_connected(const AxiLink& link, std::string role);
@@ -147,9 +141,7 @@ class DesignRuleChecker {
   void check_address_map(LintReport& report) const;
   void check_widths(LintReport& report) const;
   void check_phase_races(LintReport& report) const;
-  void check_pool_slots(LintReport& report) const;
 
-  const Simulator* sim_;
   std::vector<LinkExpectation> links_;
   std::vector<NamedRange> ranges_;
   std::vector<BridgeInfo> bridges_;

@@ -16,8 +16,8 @@
 // currently-ticking component, and every TimingChannel access flags
 // two-phase violations: a mid-compute commit() (staged data made visible
 // in the same cycle), a same-cycle read of freshly-committed state, or a
-// push or read during the commit phase. Hot-pool slot writes during the
-// commit phase are flagged the same way (sim/soa_pool.hpp).
+// push or read during the commit phase. Only ChannelBase::commit() runs in
+// the commit phase, so channel accesses are the only writes it can race.
 //
 // Threading: the current component is thread-local, so simulations running
 // as parallel jobs do not clobber each other's stamp; the phase stamp and

@@ -16,41 +16,17 @@
 
 namespace axihc {
 
-void commit_lanes_dense(ChannelHot* hot, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    ChannelHot& h = hot[i];
-    h.committed += h.staged;
-    h.staged = 0;
-    h.snapshot = h.committed;
-  }
-}
-
-void commit_lanes_sparse(ChannelHot* hot, const std::uint32_t* lanes,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    ChannelHot& h = hot[lanes[i]];
-    h.committed += h.staged;
-    h.staged = 0;
-    h.snapshot = h.committed;
-  }
-}
-
 void Simulator::add(Component& component) {
   components_.push_back(&component);
-  pool_stale_ = true;
 }
 
 void Simulator::add(ChannelBase& channel) {
   channels_.push_back(&channel);
-  // finalize_pool() adopts the channel's hot words before the next cycle.
   channel.dirty_list_ = &dirty_;
-  channel.lane_list_ = &dirty_lanes_;
   channel.epoch_ = &epoch_;
   channel.enqueue_epoch_ = 0;
-  pool_stale_ = true;
   // A channel touched before registration (pushes staged during setup) must
-  // still be committed at the end of the first cycle. It has no lane yet,
-  // so it goes on the pointer list (the virtual-commit path).
+  // still be committed at the end of the first cycle.
   if (channel.dirty_) {
     channel.enqueue_epoch_ = epoch_;
     dirty_.push_back(&channel);
@@ -63,58 +39,14 @@ void Simulator::reset() {
   // Commit once so occupancy snapshots start from the empty state.
   for (auto* ch : channels_) ch->commit();
   dirty_.clear();
-  dirty_lanes_.clear();
-  // Invalidate stale enqueue stamps: the lists were cleared wholesale, so a
+  // Invalidate stale enqueue stamps: the list was cleared wholesale, so a
   // stamp equal to the old epoch must not suppress the next enqueue.
   ++epoch_;
   last_step_quiet_ = true;
   now_ = 0;
 }
 
-void Simulator::finalize_pool() {
-  pool_.resize_channels(channels_.size());
-  // Growth may have moved the lane array: (re-)install every handle. Lane
-  // index == registration index, so handles already installed just repoint.
-  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
-    const auto lane = static_cast<std::uint32_t>(ci);
-    const bool pooled = channels_[ci]->adopt_hot_lane(&pool_.hot(lane), lane);
-    pool_.set_lane_channel(lane, pooled ? channels_[ci] : nullptr);
-  }
-  for (std::size_t i = adopted_components_; i < components_.size(); ++i) {
-    components_[i]->adopt_hot_state(pool_);
-  }
-  adopted_components_ = components_.size();
-  pool_stale_ = false;
-}
-
-void Simulator::commit_pooled() {
-  if (dirty_lanes_.empty()) return;
-#ifdef AXIHC_PHASE_CHECK
-  // The lane sweeps bypass virtual commit(): stamp each dirty lane's ledger
-  // the way TimingChannel::commit would have.
-  for (std::uint32_t lane : dirty_lanes_) {
-    if (ChannelBase* ch = pool_.lane_channel(lane)) ch->ledger_on_commit();
-  }
-#endif
-  const std::size_t n = pool_.channel_lanes();
-  // Dense sweeps are unconditional over every lane — clean lanes are no-ops
-  // (staged == 0, snapshot == committed) — so the branch-free linear pass
-  // wins as soon as a modest fraction of the pool is dirty.
-  if (dirty_lanes_.size() * 4 >= n) {
-    commit_lanes_dense(pool_.hot_data(), n);
-  } else {
-    commit_lanes_sparse(pool_.hot_data(), dirty_lanes_.data(),
-                        dirty_lanes_.size());
-  }
-  dirty_lanes_.clear();
-}
-
 void Simulator::step() {
-  if (pool_stale_) finalize_pool();
-  tick_and_commit();
-}
-
-void Simulator::tick_and_commit() {
   AXIHC_STAMP_PHASE(kCompute);
   for (auto* c : components_) {
     AXIHC_STAMP_CURRENT(c);
@@ -126,7 +58,6 @@ void Simulator::tick_and_commit() {
   // every cycle, so this keeps the next_activity scan off the hot path.
   last_step_quiet_ = no_pending_commits();
   AXIHC_STAMP_PHASE(kCommit);
-  commit_pooled();
   for (auto* ch : dirty_) ch->commit();
   dirty_.clear();
   AXIHC_STAMP_PHASE(kOutside);
@@ -135,7 +66,6 @@ void Simulator::tick_and_commit() {
 }
 
 void Simulator::advance(Cycle deadline) {
-  if (pool_stale_) finalize_pool();
   // Jump only from a provably frozen state: the last cycle moved no data
   // (so no commit is pending a snapshot change) and nothing was staged
   // outside a tick since then.
@@ -157,7 +87,7 @@ void Simulator::advance(Cycle deadline) {
     now_ = target;
     if (now_ >= deadline) return;
   }
-  tick_and_commit();
+  step();
 }
 
 void Simulator::run(Cycle cycles) {

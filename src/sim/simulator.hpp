@@ -13,20 +13,8 @@
 #include "common/types.hpp"
 #include "sim/channel.hpp"
 #include "sim/component.hpp"
-#include "sim/soa_pool.hpp"
 
 namespace axihc {
-
-/// Commits every lane of `hot[0, n)`:
-///   committed += staged; staged = 0; snapshot = committed.
-/// Safe over clean lanes: a lane not touched since its last commit has
-/// staged == 0 and snapshot == committed, so the update is a no-op.
-void commit_lanes_dense(ChannelHot* hot, std::size_t n);
-
-/// Same update, only for the `n` lane indices in `lanes` (may repeat; the
-/// update is idempotent within a commit phase).
-void commit_lanes_sparse(ChannelHot* hot, const std::uint32_t* lanes,
-                         std::size_t n);
 
 class Simulator {
  public:
@@ -77,11 +65,6 @@ class Simulator {
   void set_fast_forward(bool on) { fast_forward_ = on; }
   [[nodiscard]] bool fast_forward() const { return fast_forward_; }
 
-  /// The hot-state pool (axihc-lint and the phase checker cross-check its
-  /// slot declarations; tests inspect lane adoption).
-  [[nodiscard]] HotStatePool& hot_pool() { return pool_; }
-  [[nodiscard]] const HotStatePool& hot_pool() const { return pool_; }
-
   /// FNV-1a digest of the committed simulation state: channel contents and
   /// traffic counters plus each component's architecturally visible state.
   /// Equal digests (fast-forward on/off, repeated runs, sweep pins) are
@@ -107,30 +90,11 @@ class Simulator {
   void advance(Cycle deadline);
 
   /// True when no channel is awaiting commit (fast-forward gate).
-  [[nodiscard]] bool no_pending_commits() const {
-    return dirty_.empty() && dirty_lanes_.empty();
-  }
-
-  /// (Re-)installs pool handles: sizes the lane array to the registered
-  /// graph, adopts every channel's hot words (lane == channel registration
-  /// index) and runs adopt_hot_state for components not yet asked. Re-run
-  /// after any registration, since lane-array growth moves the handles.
-  void finalize_pool();
-
-  /// Commits the pooled lanes queued on dirty_lanes_: a dense whole-pool
-  /// sweep when the dirty density is high (clean lanes are no-ops by the
-  /// staged==0 / snapshot==committed invariant), a sparse indexed sweep
-  /// otherwise. Clears dirty_lanes_.
-  void commit_pooled();
-
-  /// One tick of every component plus the commit phase (pool finalized).
-  void tick_and_commit();
+  [[nodiscard]] bool no_pending_commits() const { return dirty_.empty(); }
 
   std::vector<Component*> components_;
   std::vector<ChannelBase*> channels_;   // all channels, for reset()
-  std::vector<ChannelBase*> dirty_;      // unpooled channels to commit
-  std::vector<std::uint32_t> dirty_lanes_;  // pooled counterpart of dirty_
-  HotStatePool pool_;
+  std::vector<ChannelBase*> dirty_;      // channels to commit this cycle
   Cycle now_ = 0;
   // Cycle epoch for the duplicate-enqueue guard (ChannelBase::mark_dirty).
   // Starts at 1 so a fresh channel's stamp of 0 never matches; bumped every
@@ -138,8 +102,6 @@ class Simulator {
   std::uint64_t epoch_ = 1;
   bool fast_forward_ = true;
   bool last_step_quiet_ = true;  // no channel was touched last cycle
-  bool pool_stale_ = true;       // registrations since the last finalize
-  std::size_t adopted_components_ = 0;  // adopt_hot_state high-water mark
 };
 
 }  // namespace axihc

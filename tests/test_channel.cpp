@@ -240,6 +240,55 @@ TEST(DirtyList, TouchInLaterCycleReenqueues) {
   EXPECT_EQ(ch.commits(), base + 2);
 }
 
+TEST(DirtyList, PushStagedBeforeAddCommitsOnFirstStep) {
+  // A push staged during setup, before the channel is registered, must be
+  // committed at the end of the first cycle like one staged in a tick.
+  TimingChannel<int> ch("ch", 2);
+  ch.push(5);
+  Simulator sim;
+  sim.add(ch);
+  EXPECT_FALSE(ch.can_pop());
+  sim.step();
+  ASSERT_TRUE(ch.can_pop());
+  EXPECT_EQ(ch.front(), 5);
+}
+
+// Pushes the current cycle into its channel every tick it can.
+class CyclePusher final : public Component {
+ public:
+  CyclePusher(std::string name, TimingChannel<Cycle>& out)
+      : Component(std::move(name)), out_(out) {}
+  void tick(Cycle now) override {
+    if (out_.can_push()) out_.push(now);
+  }
+
+ private:
+  TimingChannel<Cycle>& out_;
+};
+
+TEST(DirtyList, LateRegisteredChannelCommitsWithOneCycleLatency) {
+  // A channel and its producer registered after the simulator has run:
+  // the push of the tick at cycle N is visible right after cycle N's
+  // commit, from the first cycle on.
+  Simulator sim;
+  TimingChannel<int> early("early", 2);
+  sim.add(early);
+  sim.reset();
+  sim.run(5);
+  ASSERT_EQ(sim.now(), 5u);
+
+  TimingChannel<Cycle> ch("late", 4);
+  CyclePusher pusher("pusher", ch);
+  sim.add(ch);
+  sim.add(pusher);
+  EXPECT_FALSE(ch.can_pop());
+  for (Cycle expect = 5; expect < 8; ++expect) {
+    sim.step();
+    ASSERT_TRUE(ch.can_pop());
+    EXPECT_EQ(ch.pop(), expect);
+  }
+}
+
 TEST(DirtyList, StandaloneChannelKeepsFlagLocally) {
   // Without a simulator there is no dirty list; mark_dirty must still work
   // (the flag is purely local) and manual commits behave as before.

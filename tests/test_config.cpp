@@ -251,6 +251,20 @@ TEST(Schema, RejectsWhatNoReaderUses) {
        "[observe] sample_every = 0"},
       {sys + traffic + "[recovery]\npoll_period = 0\n",
        "[recovery] poll_period = 0"},
+      // Cross-key constraints, defaults included.
+      {sys + traffic + "[ha1]\ntype = dma\n[ha2]\ntype = dma\n",
+       "[system] ports = 2: fewer ports than the 3 [haN] sections"},
+      {sys + traffic + "[fault0]\nkind = stall_w\nport = 2\n",
+       "[fault0] port = 2"},
+      {sys + traffic + "[recovery]\nbackoff_base = 64\nbackoff_max = 8\n",
+       "[recovery] backoff_max = 8: below backoff_base = 64"},
+      {sys + traffic + "[recovery]\nbackoff_base = 16001\n",
+       "[recovery] backoff_base = 16001: above backoff_max = 16000"},
+      // Keys that size an allocation.
+      {sys + "[hyperconnect]\naddr_depth = 65537\n" + traffic,
+       "[hyperconnect] addr_depth = 65537"},
+      {sys + traffic + "[observe]\nflight_capacity = 18446744073709551615\n",
+       "[observe] flight_capacity = 18446744073709551615"},
   };
   for (const Case& c : cases) {
     const std::string error = build_error(c.text);
@@ -307,7 +321,7 @@ TEST(SystemBuilder, RejectsMoreBudgetsThanPorts) {
   // The interconnect would silently drop the third budget.
   EXPECT_NE(build_error("[system]\nports = 2\n[hyperconnect]\n"
                         "budgets = 8 8 8\n[ha0]\ntype = traffic\n")
-                .find("[hyperconnect] budgets lists 3 entries for 2 ports"),
+                .find("[hyperconnect] budgets = 8 8 8: 3 entries for 2 ports"),
             std::string::npos);
 }
 

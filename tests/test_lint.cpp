@@ -91,7 +91,7 @@ TEST(LintLedger, FlagsPhaseRace) {
   sim.run(3);
 
   EXPECT_GT(PhaseCheck::violation_count(), 0u);
-  const LintReport report = DesignRuleChecker(sim).run();
+  const LintReport report = DesignRuleChecker().run();
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_check("phase-race"));
 }
@@ -110,7 +110,7 @@ TEST(LintLedger, CleanSystemHasNoLedgerFindings) {
   PhaseCheck::arm(true);
   sim.run(10);
 
-  const LintReport report = DesignRuleChecker(sim).run();
+  const LintReport report = DesignRuleChecker().run();
   EXPECT_FALSE(report.has_errors()) << [&] {
     std::ostringstream os;
     report.write_text(os);
@@ -137,8 +137,7 @@ TEST(LintLedger, DisarmedRunRecordsNothing) {
 // --- structural checks (run on every build) -----------------------------
 
 TEST(LintStructural, FlagsOverlappingDecodeMap) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("bank0", {0x0000, 0x2000}, AddressKind::kDecode);
   drc.add_address_range("bank1", {0x1000, 0x2000}, AddressKind::kDecode);
 
@@ -148,8 +147,7 @@ TEST(LintStructural, FlagsOverlappingDecodeMap) {
 }
 
 TEST(LintStructural, WarnsOnSharedHaWindows) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("ha0 buffer", {0x1000'0000, 1u << 20},
                         AddressKind::kMasterWindow);
   drc.add_address_range("ha1 buffer", {0x1000'8000, 1u << 20},
@@ -161,8 +159,7 @@ TEST(LintStructural, WarnsOnSharedHaWindows) {
 }
 
 TEST(LintStructural, WarnsOnWindowOutsideDecodeMap) {
-  Simulator sim;
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_address_range("memory decode map", {0, 1u << 20},
                         AddressKind::kDecode);
   drc.add_address_range("ha0 buffer", {0x1000'0000, 1u << 16},
@@ -182,7 +179,7 @@ TEST(LintStructural, WarnsOnUnconnectedLink) {
   link.attach_endpoint(lonely);  // only one side attached
   sim.add(lonely);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.expect_connected(link, "test port");
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_check("unconnected-link"));
@@ -190,7 +187,6 @@ TEST(LintStructural, WarnsOnUnconnectedLink) {
 }
 
 TEST(LintStructural, FlagsBridgeWidthMismatch) {
-  Simulator sim;
   AxiLinkConfig wide;
   wide.data_bits = 128;
   AxiLinkConfig narrow;
@@ -198,7 +194,7 @@ TEST(LintStructural, FlagsBridgeWidthMismatch) {
   AxiLink up("up", wide);
   AxiLink down("down", narrow);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.add_bridge("bridge0", up, down);
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_errors());
@@ -206,19 +202,18 @@ TEST(LintStructural, FlagsBridgeWidthMismatch) {
 }
 
 TEST(LintStructural, FlagsIdHeadroomViolation) {
-  Simulator sim;
   AxiLinkConfig cfg;
   cfg.id_bits = 20;  // collides with the port index packed at bit 16
   AxiLink link("ha0.link", cfg);
 
-  DesignRuleChecker drc(sim);
+  DesignRuleChecker drc;
   drc.require_id_headroom(link, 16, "the ID-extension");
   const LintReport report = drc.run();
   EXPECT_TRUE(report.has_errors());
   EXPECT_TRUE(report.has_check("width-mismatch"));
 
   AxiLink ok("ha1.link", {});  // default 16-bit IDs exactly fit
-  DesignRuleChecker drc2(sim);
+  DesignRuleChecker drc2;
   drc2.require_id_headroom(ok, 16, "the ID-extension");
   EXPECT_FALSE(drc2.run().has_errors());
 }
