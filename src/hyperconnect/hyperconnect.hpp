@@ -26,7 +26,7 @@
 #include "hyperconnect/register_file.hpp"
 #include "hyperconnect/transaction_supervisor.hpp"
 #include "interconnect/interconnect.hpp"
-#include "obs/audit_hooks.hpp"
+#include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -84,10 +84,10 @@ class HyperConnect final : public Interconnect {
 
   /// Attaches the latency auditor (src/obs/latency_audit.*): the tick loop
   /// reports eFIFO accepts, sub-transaction issues, stall causes, EXBAR
-  /// grants, master-side exits and port disturbances through the hook
-  /// interface. nullptr (the default) disables at one branch per site; the
+  /// grants, master-side exits and port disturbances by calling its hooks.
+  /// nullptr (the default) disables at one branch per site; the
   /// audit mutates no simulated state, so digests are unaffected.
-  void set_latency_audit(LatencyAuditHooks* audit) { audit_ = audit; }
+  void set_latency_audit(LatencyAudit* audit) { audit_ = audit; }
 
   /// Observability: track the per-port peak of Efifo::level() (the five
   /// channel queues of the port link summed), sampled once per tick. Exact
@@ -170,7 +170,7 @@ class HyperConnect final : public Interconnect {
   HcRegisterFile regfile_;
   AxiLink control_link_;
   EventTrace* trace_ = nullptr;
-  LatencyAuditHooks* audit_ = nullptr;
+  LatencyAudit* audit_ = nullptr;
 };
 
 }  // namespace axihc

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "axi/axi.hpp"
+#include "common/json.hpp"
 #include "sim/channel.hpp"
 #include "sim/component.hpp"
 #include "sim/phase_check.hpp"
@@ -13,33 +14,6 @@
 namespace axihc {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string hex(Addr a) {
   char buf[32];
@@ -103,13 +77,13 @@ void LintReport::write_json(std::ostream& os) const {
     out += "{\"severity\":\"";
     out += to_string(f.severity);
     out += "\",\"check\":\"";
-    append_escaped(out, f.check);
+    append_json_escaped(out, f.check);
     out += "\",\"subject\":\"";
-    append_escaped(out, f.subject);
+    append_json_escaped(out, f.subject);
     out += "\",\"message\":\"";
-    append_escaped(out, f.message);
+    append_json_escaped(out, f.message);
     out += "\",\"hint\":\"";
-    append_escaped(out, f.hint);
+    append_json_escaped(out, f.hint);
     out += "\"}";
   }
   out += "],\"errors\":" + std::to_string(count(LintSeverity::kError));

@@ -2,43 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace axihc {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string json_number(double v) {
   if (std::floor(v) == v && std::abs(v) < 9.0e15) {
@@ -60,7 +34,7 @@ Record make_record(Cycle ts, const std::string& name, char phase, int tid,
   Record r;
   r.ts = ts;
   r.json = "{\"name\":\"";
-  append_escaped(r.json, name);
+  append_json_escaped(r.json, name);
   r.json += "\",\"ph\":\"";
   r.json += phase;
   r.json += "\",\"ts\":" + std::to_string(ts) + ",\"pid\":0,\"tid\":" +
@@ -71,7 +45,7 @@ Record make_record(Cycle ts, const std::string& name, char phase, int tid,
 Record metadata_record(const std::string& kind, int tid,
                        const std::string& label) {
   std::string extra = ",\"args\":{\"name\":\"";
-  append_escaped(extra, label);
+  append_json_escaped(extra, label);
   extra += "\"}";
   return make_record(0, kind, 'M', tid, extra);
 }

@@ -17,6 +17,12 @@
 // state digests are bit-identical with the auditor on or off, and the whole
 // layer costs one pointer test per hook site when detached.
 //
+// HyperConnect, the memory controller and the masters hold a LatencyAudit*
+// and call the hooks directly; every site guards with
+// `audit_ != nullptr && audit_->enabled()`, so a disabled attached auditor
+// costs an inline load and a branch. This header includes only leaf headers
+// (no component header), so the components can include it.
+//
 // What is audited: the analytic bound assumes the request arrives to an
 // otherwise-idle own port (the validation fixtures use max_outstanding = 1
 // victims). Real workloads pipeline requests, so raw end-to-end latency
@@ -43,7 +49,6 @@
 
 #include "analysis/wcla.hpp"
 #include "axi/axi.hpp"
-#include "obs/audit_hooks.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
@@ -51,14 +56,16 @@
 
 namespace axihc {
 
-class LatencyAudit final : public LatencyAuditHooks {
+class LatencyAudit {
  public:
   LatencyAudit(PortIndex num_ports, std::size_t flight_capacity);
 
-  /// Master switch. Hooks early-return when disabled, so an attached-but-
-  /// disabled auditor costs one call + branch per hook site (benchmarked by
-  /// BM_AuditIdleAttached, CI-gated like the observability pair).
+  /// Master switch. Hook sites test enabled() before calling, so an
+  /// attached-but-disabled auditor costs a load and a branch per hook site
+  /// (benchmarked by BM_AuditIdleAttached, CI-gated like the observability
+  /// pair).
   void set_enabled(bool on) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Enables bound checking against audit_wcrt_read/audit_wcrt_write for
   /// the given interconnect/platform model. Without a bound model the audit
@@ -83,33 +90,33 @@ class LatencyAudit final : public LatencyAuditHooks {
   /// Once per HyperConnect tick, before the TS issue loop: charges the
   /// cycles since the last tick to each stalled split's frozen cause
   /// (span-based, so fast-forwarded stretches are attributed correctly).
-  void on_hc_tick(Cycle now) override;
+  void on_hc_tick(Cycle now);
   /// TS popped `orig` from the port's eFIFO (split begins).
   void on_accept(PortIndex port, bool is_write, const AddrReq& orig,
-                 Cycle now) override;
+                 Cycle now);
   /// TS issued one sub-request into its output stage.
   void on_sub_issue(PortIndex port, bool is_write, bool is_final,
-                    Cycle now) override;
+                    Cycle now);
   /// Why the port's active split could not issue this cycle (evaluated by
   /// the HyperConnect after the issue loop; charged on the next on_hc_tick).
   void on_stall_cause(PortIndex port, bool is_write,
-                      LatencyCause cause) override;
+                      LatencyCause cause);
   /// EXBAR granted this port's oldest staged sub-request.
-  void on_grant(PortIndex port, bool is_write, Cycle now) override;
+  void on_grant(PortIndex port, bool is_write, Cycle now);
   /// A sub-request left the HyperConnect into the master eFIFO.
-  void on_hc_exit(bool is_write, Cycle now) override;
+  void on_hc_exit(bool is_write, Cycle now);
   /// The port faulted or was decoupled: close its stall classifiers and
   /// mark its in-flight transactions fault-affected (excluded from bounds).
-  void on_port_disturbed(PortIndex port, Cycle now) override;
+  void on_port_disturbed(PortIndex port, Cycle now);
 
   // --- hooks: memory controller (in-order scheduling only) -----------------
-  void on_mem_start(bool is_write, Cycle now) override;
-  void on_mem_done(Cycle now) override;
+  void on_mem_start(bool is_write, Cycle now);
+  void on_mem_done(Cycle now);
 
   // --- hooks: masters ------------------------------------------------------
   /// Response delivered. `req` is the original HA-side request.
   void on_complete(PortIndex port, bool is_write, const AddrReq& req,
-                   bool failed, Cycle now) override;
+                   bool failed, Cycle now);
 
   // --- results -------------------------------------------------------------
   [[nodiscard]] std::uint64_t transactions() const { return txns_; }
@@ -170,6 +177,7 @@ class LatencyAudit final : public LatencyAuditHooks {
   FlightRecord* fill_target(PortDirState& pd, Cycle FlightRecord::*field);
   void finalize(PortIndex port, bool is_write, FlightRecord rec, Cycle now);
 
+  bool enabled_ = false;  // first member: the one load every hook site pays
   PortIndex num_ports_;
   std::vector<PortDirState> per_port_dir_;  // [port * 2 + is_write]
   std::array<std::deque<StageToken>, 2> xbar_stage_;   // [is_write]

@@ -2,8 +2,8 @@
 //
 // The report generator (`axihc --sweep-report`) and the digest pin checker
 // (`--sweep-check`) consume files this repo's writers produced, so the
-// parser is deliberately small: UTF-8 passthrough, \uXXXX escapes kept
-// verbatim, numbers as double plus the raw token (so 64-bit digests printed
+// parser is deliberately small: UTF-8 passthrough, \u00XX escapes below
+// 0x80 decoded and other \uXXXX kept verbatim, numbers as double plus the raw token (so 64-bit digests printed
 // as strings stay exact — the writers quote anything that must round-trip).
 // Throws ModelError on malformed input.
 #pragma once

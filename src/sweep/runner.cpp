@@ -1,9 +1,7 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <map>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -16,6 +14,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "config/canonical.hpp"
 #include "config/system_builder.hpp"
 #include "hyperconnect/hyperconnect.hpp"
@@ -29,34 +28,6 @@
 namespace axihc {
 
 namespace {
-
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::string hex_digest(std::uint64_t d) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, d);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// The prover columns shared by annotated and simulated rows. The
 /// certificate digest rides in the fragment, so cached certificates live
