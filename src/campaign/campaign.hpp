@@ -59,9 +59,8 @@ struct CampaignSpec {
 };
 
 /// Parses + validates the [campaign] section against the base system in the
-/// same file (throws ModelError on anything validate_config rejects, a
-/// missing section, a missing [recovery], stray [faultN] sections, unknown
-/// kinds, out-of-range ports, inverted ranges).
+/// same file (throws ModelError on a missing [campaign] and on anything
+/// validate_config rejects, the [campaign] constraints included).
 [[nodiscard]] CampaignSpec parse_campaign_spec(const IniFile& ini);
 
 /// The scenario run `run_index` executes: seed_r plus min..max generated

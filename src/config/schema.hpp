@@ -193,11 +193,14 @@ namespace axihc {
 /// Rejects, as a ModelError naming the section, key, value and what is
 /// allowed: unknown, duplicate or misnumbered sections, unknown or
 /// duplicate keys (a [sweep] axis.<section>.<key> must name a known key
-/// too), a missing [haN] type or [faultN] kind, malformed or out-of-range
-/// values, unknown choices, and values that conflict across keys (more
-/// [haN] sections or budgets than [system] ports, a [faultN] port beyond
-/// them, backoff_max below backoff_base; defaults included). Axis values
-/// are checked per cell.
+/// too), a missing [system], [haN], [haN] type or [faultN] kind, malformed
+/// or out-of-range values, unknown choices, and values that conflict across
+/// keys (more [haN] sections or budgets than [system] ports, a [faultN] port
+/// beyond them, [recovery] without a HyperConnect, backoff_max below
+/// backoff_base; with [campaign]: no [recovery], any [faultN], a kind that
+/// is no injector, a port beyond [system] ports, max_faults, start_max or
+/// duration_max below its minimum; defaults included). Axis values are
+/// checked per cell.
 void validate_config(const IniFile& ini);
 
 }  // namespace axihc

@@ -25,9 +25,8 @@ ConfiguredSystem::ConfiguredSystem(const IniFile& ini,
 
 void ConfiguredSystem::build(const IniFile& ini,
                              const FaultScenario* scenario_override) {
-  validate_config(ini);
+  validate_config(ini);  // requires [system] and at least one [haN]
   const IniSection* system = ini.section("system");
-  AXIHC_CHECK_MSG(system != nullptr, "config needs a [system] section");
 
   platform_ = schema::kSystemPlatform.choice(*system) == 0
                   ? zcu102_platform()
@@ -113,20 +112,13 @@ void ConfiguredSystem::build(const IniFile& ini,
 
   // [haN] is the HA on port N (validate_config numbers them 0..n-1).
   const auto ha_sections = schema::indexed(ini, "ha");
-  AXIHC_CHECK_MSG(!ha_sections.empty(),
-                  "config needs at least one [haN] section");
   for (PortIndex port = 0; port < ha_sections.size(); ++port) {
     add_ha(*ha_sections[port], port);
   }
 
   // [recovery] wants the masters built (the HA-reset hook targets them), so
-  // it wires after the HA loop.
-  if (const IniSection* rec = ini.section("recovery")) {
-    AXIHC_CHECK_MSG(cfg.kind == InterconnectKind::kHyperConnect,
-                    "[recovery] requires interconnect = hyperconnect "
-                    "(the stack drives the HyperConnect control interface)");
-    wire_recovery(*rec);
-  }
+  // it wires after the HA loop (validate_config requires a HyperConnect).
+  if (const IniSection* rec = ini.section("recovery")) wire_recovery(*rec);
 
   const IniSection& obs = schema::section_or_empty(ini, "observe");
   observe_.trace = schema::kObserveTrace.flag(obs);

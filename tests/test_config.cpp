@@ -260,6 +260,15 @@ TEST(Schema, RejectsWhatNoReaderUses) {
        "[recovery] backoff_max = 8: below backoff_base = 64"},
       {sys + traffic + "[recovery]\nbackoff_base = 16001\n",
        "[recovery] backoff_base = 16001: above backoff_max = 16000"},
+      {traffic, "[system]: missing section"},
+      {sys, "[ha0]: missing section"},
+      {"[system]\ninterconnect = smartconnect\n" + traffic + "[recovery]\n",
+       "[system] interconnect = smartconnect: [recovery] needs"},
+      {sys + traffic + "[campaign]\n", "[campaign]: a campaign measures"},
+      {sys + traffic + "[recovery]\n[campaign]\nports = 2\n",
+       "[campaign] ports = 2: port 2 is not below [system] ports = 2"},
+      {sys + traffic + "[recovery]\n[campaign]\nstart_min = 1500\n",
+       "[campaign] start_min = 1500: above start_max = 1000"},
       // Keys that size an allocation.
       {sys + "[hyperconnect]\naddr_depth = 65537\n" + traffic,
        "[hyperconnect] addr_depth = 65537"},

@@ -12,6 +12,7 @@
 
 #include "campaign/campaign.hpp"
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "config/canonical.hpp"
 #include "config/ini.hpp"
 #include "config/schema.hpp"
@@ -488,6 +489,34 @@ TEST(SweepRunner, SmartConnectCellsFlagMissingBound) {
   for (const std::string& line : s.lines) {
     EXPECT_EQ(parse_json(line).find("wcla_slack")->number, -1.0) << line;
   }
+}
+
+TEST(SweepRunner, ErrorRowsEscapeControlCharacters) {
+  // A tab in an axis value reaches the cell's error text; the row must stay
+  // valid JSON and give the text back unchanged.
+  const std::string text =
+      "[system]\nports = 2\n[ha0]\ntype = traffic\n[sweep]\ncycles = 2000\n"
+      "axis.ha0.direction = read | wr\tite\n";
+  SweepOptions opts;
+  opts.deterministic = true;
+  const SweepSummary s = run(text, opts);
+  ASSERT_EQ(s.lines.size(), 2u);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_EQ(s.lines[1].find('\t'), std::string::npos) << s.lines[1];
+  const JsonValue row = parse_json(s.lines[1]);
+  EXPECT_EQ(row.find("axes")->find("ha0.direction")->str_or(""), "wr\tite");
+  EXPECT_EQ(row.find("error")->str_or(""),
+            "[ha0] direction = wr\tite: expected one of: read write mixed");
+}
+
+TEST(Json, EscapeRoundTripsEveryAsciiCharacter) {
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  const std::string quoted = "\"" + json_escape(all) + "\"";
+  for (const char c : quoted) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  EXPECT_EQ(parse_json(quoted).raw, all);
+  // Non-ASCII \u escapes stay verbatim.
+  EXPECT_EQ(parse_json("\"\\u00e9\"").raw, "\\u00e9");
 }
 
 // ---------------------------------------------------------------------------
