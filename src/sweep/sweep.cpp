@@ -97,9 +97,13 @@ std::vector<std::string> expand_axis_values(const std::string& raw) {
 
 SweepSpec parse_sweep_spec(const IniFile& ini) {
   const IniSection* sw = ini.section("sweep");
-  AXIHC_CHECK_MSG(sw != nullptr, "--sweep needs a [sweep] section");
-  AXIHC_CHECK_MSG(ini.section("campaign") == nullptr,
-                  "a file cannot hold both [sweep] and [campaign]");
+  if (sw == nullptr) {
+    throw ModelError("[sweep]: missing section (--sweep needs one)");
+  }
+  if (ini.section("campaign") != nullptr) {
+    throw ModelError("[sweep]: a file cannot hold both [sweep] and "
+                     "[campaign]");
+  }
   // The base description and every axis's (section, key), duplicates
   // included; axis values are checked per cell, so a bad one becomes that
   // cell's error row.
