@@ -1,268 +1,111 @@
-// Microbenchmarks of the simulation kernel itself (google-benchmark):
-// channel hop cost, simulator step cost, full 2-port HyperConnect system
-// cycles/second. These guard the simulator's own performance so the
-// reproduction benches stay fast.
+// Idle-overhead microbenchmarks (google-benchmark). Each pair runs the same
+// busy 2-port DMA system with an observability layer absent and attached but
+// disabled; the layer promises one branch per record site when disabled, so
+// CI fails when a pair's medians differ by more than 2%
+// (cmake/check_idle_overhead.cmake).
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "ha/dma_engine.hpp"
-#include "ha/dnn_accelerator.hpp"
 #include "hyperconnect/hyperconnect.hpp"
-#include "hypervisor/domain.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/memory_controller.hpp"
 #include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
-#include "soc/soc.hpp"
 
 namespace axihc {
 namespace {
 
-void BM_ChannelPushPop(benchmark::State& state) {
-  TimingChannel<AddrReq> ch("ch", 8);
-  ch.commit();
-  AddrReq req;
-  for (auto _ : state) {
-    ch.push(req);
-    ch.commit();
-    benchmark::DoNotOptimize(ch.pop());
-    ch.commit();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ChannelPushPop);
-
-void BM_SimulatorStepEmpty(benchmark::State& state) {
-  Simulator sim;
-  std::vector<std::unique_ptr<TimingChannel<int>>> chans;
-  for (int i = 0; i < state.range(0); ++i) {
-    chans.push_back(
-        std::make_unique<TimingChannel<int>>("c" + std::to_string(i), 4));
-    sim.add(*chans.back());
-  }
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SimulatorStepEmpty)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_HyperConnectSystemCycle(benchmark::State& state) {
-  Simulator sim;
-  BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = static_cast<std::uint32_t>(state.range(0));
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, {});
-  hc.register_with(sim);
-  sim.add(mem);
-
-  std::vector<std::unique_ptr<DmaEngine>> dmas;
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    DmaConfig d;
-    d.mode = DmaMode::kReadWrite;
-    d.bytes_per_job = 1u << 20;
-    dmas.push_back(std::make_unique<DmaEngine>("dma" + std::to_string(p),
-                                               hc.port_link(p), d));
-    sim.add(*dmas.back());
-  }
-  sim.reset();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_HyperConnectSystemCycle)->Arg(2)->Arg(4)->Arg(8);
-
-// Whole-system throughput at the fig5 contention workload: GoogleNet DNN
-// plus a greedy 4 MB read+write DMA behind an HC-90-10 reservation. This is
-// the headline "simulated cycles per wall-second" number guarded by
-// BENCH_kernel.json; the throttled DMA windows and DNN compute phases are
-// exactly the quiescent stretches the kernel fast path exists to skip.
-void BM_Fig5ContentionSystem(benchmark::State& state) {
-  const std::uint64_t scale = 64;  // fig5 shapes, sized for bench iterations
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    SocConfig cfg = bench::bench_soc_cfg(InterconnectKind::kHyperConnect);
-    const ReservationPlan plan =
-        plan_bandwidth_split(2000, 27.0, {0.9, 0.1});
-    cfg.hc.reservation_period = plan.period;
-    cfg.hc.initial_budgets = plan.budgets;
-    SocSystem soc(cfg);
-    DnnAccelerator dnn("chaidnn", soc.port(0),
-                       bench::scaled_googlenet(scale, 1));
-    DmaEngine dma("ha_dma", soc.port(1), bench::paper_dma(scale, 0));
-    soc.add(dnn);
-    soc.add(dma);
-    soc.sim().reset();
-    soc.sim().run_until(
-        [&] { return dnn.finished() && dma.jobs_completed() >= 2; },
-        4'000'000'000ull);
-    cycles += soc.sim().now();
-    benchmark::DoNotOptimize(dma.jobs_completed());
-  }
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Fig5ContentionSystem)->Unit(benchmark::kMillisecond);
-
-// Observability cost pair: the same busy 2-port DMA system with no
-// observability objects at all vs. with an EventTrace attached-but-disabled
-// and every metric registered (but never sampled). The obs layer promises
-// one branch per record site when disabled, so these two must stay within
-// noise of each other (the CI smoke job asserts < 2%).
-void obs_cost_system(benchmark::State& state, bool attach_idle_obs) {
-  Simulator sim;
-  BackingStore store;
+HyperConnectConfig two_ports() {
   HyperConnectConfig cfg;
   cfg.num_ports = 2;
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, {});
-  hc.register_with(sim);
-  sim.add(mem);
+  return cfg;
+}
+
+// Two greedy read+write DMAs behind a default HyperConnect and one memory
+// controller: every cycle moves data, so the record sites are all hot.
+struct DmaPairSystem {
+  Simulator sim;
+  BackingStore store;
+  HyperConnect hc{"hc", two_ports()};
+  MemoryController mem{"ddr", hc.master_link(), store, {}};
   std::vector<std::unique_ptr<DmaEngine>> dmas;
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    DmaConfig d;
-    d.mode = DmaMode::kReadWrite;
-    d.bytes_per_job = 1u << 20;
-    dmas.push_back(std::make_unique<DmaEngine>("dma" + std::to_string(p),
-                                               hc.port_link(p), d));
-    sim.add(*dmas.back());
+
+  DmaPairSystem() {
+    hc.register_with(sim);
+    sim.add(mem);
+    for (PortIndex p = 0; p < 2; ++p) {
+      DmaConfig d;
+      d.mode = DmaMode::kReadWrite;
+      d.bytes_per_job = 1u << 20;
+      dmas.push_back(std::make_unique<DmaEngine>("dma" + std::to_string(p),
+                                                 hc.port_link(p), d));
+      sim.add(*dmas.back());
+    }
   }
+
+  // One simulated cycle per iteration; reports simulated cycles/s.
+  void run(benchmark::State& state) {
+    sim.reset();
+    for (auto _ : state) sim.step();
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.counters["cycles/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  }
+};
+
+// Trace and metrics: no observability objects at all vs. an EventTrace
+// attached-but-disabled and every metric registered (but never sampled).
+void obs_cost(benchmark::State& state, bool attach_idle_obs) {
+  DmaPairSystem sys;
   EventTrace trace;  // default-disabled: record sites cost one branch
   MetricsRegistry registry;
   if (attach_idle_obs) {
-    hc.set_trace(&trace);
-    mem.set_trace(&trace);
-    hc.register_metrics(registry);
-    mem.register_metrics(registry);
-    for (auto& d : dmas) {
+    sys.hc.set_trace(&trace);
+    sys.mem.set_trace(&trace);
+    sys.hc.register_metrics(registry);
+    sys.mem.register_metrics(registry);
+    for (auto& d : sys.dmas) {
       d->set_trace(&trace);
       d->register_metrics(registry);
     }
   }
-  sim.reset();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  sys.run(state);
 }
 
-void BM_ObsOff(benchmark::State& state) { obs_cost_system(state, false); }
+void BM_ObsOff(benchmark::State& state) { obs_cost(state, false); }
 BENCHMARK(BM_ObsOff);
 
-void BM_ObsIdleAttached(benchmark::State& state) {
-  obs_cost_system(state, true);
-}
+void BM_ObsIdleAttached(benchmark::State& state) { obs_cost(state, true); }
 BENCHMARK(BM_ObsIdleAttached);
 
-// Latency-auditor cost pair, same contract as the trace/metrics pair above:
-// detached (nullptr, the compiled-out-cheap default) vs attached to every
-// hook site but disabled. Every hook early-returns on the enabled flag, so
-// the attached-idle system must stay within noise (< 2%, CI-gated) of the
-// detached one.
-void audit_cost_system(benchmark::State& state, bool attach_idle_audit) {
-  Simulator sim;
-  BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, {});
-  hc.register_with(sim);
-  sim.add(mem);
-  std::vector<std::unique_ptr<DmaEngine>> dmas;
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    DmaConfig d;
-    d.mode = DmaMode::kReadWrite;
-    d.bytes_per_job = 1u << 20;
-    dmas.push_back(std::make_unique<DmaEngine>("dma" + std::to_string(p),
-                                               hc.port_link(p), d));
-    sim.add(*dmas.back());
-  }
-  LatencyAudit audit(cfg.num_ports, 1024);  // default-disabled
+// The latency auditor: detached (nullptr, the default) vs. attached to every
+// hook site but disabled, where every hook returns on the enabled flag.
+void audit_cost(benchmark::State& state, bool attach_idle_audit) {
+  DmaPairSystem sys;
+  LatencyAudit audit(2, 1024);  // default-disabled
   if (attach_idle_audit) {
-    hc.set_latency_audit(&audit);
-    mem.set_latency_audit(&audit);
-    for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-      dmas[p]->set_latency_audit(&audit, p);
+    sys.hc.set_latency_audit(&audit);
+    sys.mem.set_latency_audit(&audit);
+    for (PortIndex p = 0; p < 2; ++p) {
+      sys.dmas[p]->set_latency_audit(&audit, p);
     }
   }
-  sim.reset();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  sys.run(state);
 }
 
-void BM_AuditOff(benchmark::State& state) {
-  audit_cost_system(state, false);
-}
+void BM_AuditOff(benchmark::State& state) { audit_cost(state, false); }
 BENCHMARK(BM_AuditOff);
 
 void BM_AuditIdleAttached(benchmark::State& state) {
-  audit_cost_system(state, true);
+  audit_cost(state, true);
 }
 BENCHMARK(BM_AuditIdleAttached);
-
-// The full enabled auditor on the same system — bound model, histograms,
-// flight ring, stall classifier. Not CI-gated (enabling it is an explicit
-// opt-in), reported so the cost of `--latency-audit` is a number, not a
-// guess.
-void BM_AuditEnabled(benchmark::State& state) {
-  Simulator sim;
-  BackingStore store;
-  HyperConnectConfig cfg;
-  cfg.num_ports = 2;
-  HyperConnect hc("hc", cfg);
-  MemoryController mem("ddr", hc.master_link(), store, {});
-  hc.register_with(sim);
-  sim.add(mem);
-  std::vector<std::unique_ptr<DmaEngine>> dmas;
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    DmaConfig d;
-    d.mode = DmaMode::kReadWrite;
-    d.bytes_per_job = 1u << 20;
-    dmas.push_back(std::make_unique<DmaEngine>("dma" + std::to_string(p),
-                                               hc.port_link(p), d));
-    sim.add(*dmas.back());
-  }
-  LatencyAudit audit(cfg.num_ports, 1024);
-  audit.set_enabled(true);
-  hc.set_latency_audit(&audit);
-  mem.set_latency_audit(&audit);
-  for (PortIndex p = 0; p < cfg.num_ports; ++p) {
-    dmas[p]->set_latency_audit(&audit, p);
-  }
-  sim.reset();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_AuditEnabled);
-
-void BM_DmaJobThroughHyperConnect(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    BackingStore store;
-    HyperConnectConfig cfg;
-    cfg.num_ports = 2;
-    HyperConnect hc("hc", cfg);
-    MemoryController mem("ddr", hc.master_link(), store, {});
-    hc.register_with(sim);
-    sim.add(mem);
-    DmaConfig d;
-    d.mode = DmaMode::kRead;
-    d.bytes_per_job = 64 << 10;
-    d.max_jobs = 1;
-    DmaEngine dma("dma", hc.port_link(0), d);
-    sim.add(dma);
-    sim.reset();
-    sim.run_until([&] { return dma.finished(); }, 10'000'000);
-    benchmark::DoNotOptimize(dma.jobs_completed());
-  }
-}
-BENCHMARK(BM_DmaJobThroughHyperConnect)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace axihc

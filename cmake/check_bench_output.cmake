@@ -1,4 +1,4 @@
-# Runs a paper-figure bench at its default scale and compares its stdout
+# Runs a bench or example program at its defaults and compares its stdout
 # byte for byte with the pinned output. On a mismatch the actual output is
 # written next to the test as <bench>.actual for diffing.
 #

@@ -1,6 +1,7 @@
 #include "common/log.hpp"
 
 #include <iostream>
+#include <mutex>
 
 namespace axihc {
 
@@ -12,7 +13,11 @@ LogLevel Logger::level() { return level_; }
 
 void Logger::write(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(level_)) return;
-  std::cerr << message << '\n';
+  // One insertion per line, under a lock: concurrent sweep and campaign
+  // jobs interleave whole lines, never parts of them.
+  static std::mutex mutex;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::cerr << message + '\n';
 }
 
 }  // namespace axihc

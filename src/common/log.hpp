@@ -14,7 +14,8 @@ class Logger {
   static void set_level(LogLevel level);
   static LogLevel level();
 
-  /// Emits `message` to stderr if `level` is enabled.
+  /// Emits `message` to stderr as one whole line if `level` is enabled;
+  /// safe to call from concurrent jobs.
   static void write(LogLevel level, const std::string& message);
 
  private:

@@ -69,7 +69,7 @@ class LintReport {
 
   /// Human-readable listing, one finding per line plus a summary.
   void write_text(std::ostream& os) const;
-  /// Machine-readable export (`axihc --lint-json`, CI artifact).
+  /// Machine-readable export (`axihc --lint-json`).
   void write_json(std::ostream& os) const;
 
  private:

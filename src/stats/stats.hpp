@@ -69,33 +69,4 @@ class RateMeter {
   double clock_hz_;
 };
 
-/// Periodic-window bandwidth accounting: counts events per fixed window and
-/// keeps the per-window history (used to validate reservation budgets:
-/// "transactions per window never exceed the budget").
-class WindowCounter {
- public:
-  explicit WindowCounter(Cycle window_length);
-
-  /// Notes one event at cycle `now`. Calls may not go back in time.
-  void record(Cycle now);
-
-  /// Closes all windows up to `now` (call at end of run before reading).
-  void flush(Cycle now);
-
-  [[nodiscard]] const std::vector<std::uint64_t>& windows() const {
-    return history_;
-  }
-  [[nodiscard]] std::uint64_t max_window() const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  void roll_to(std::uint64_t window_index);
-
-  Cycle window_length_;
-  std::uint64_t current_window_ = 0;
-  std::uint64_t current_count_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> history_;
-};
-
 }  // namespace axihc

@@ -17,12 +17,15 @@ class Parser {
   JsonValue parse_document() {
     JsonValue v = parse_value();
     skip_ws();
-    AXIHC_CHECK_MSG(pos_ == text_.size(),
-                    "json: trailing characters at offset " << pos_);
+    if (pos_ != text_.size()) fail("trailing characters");
     return v;
   }
 
  private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw ModelError("json: " + what + " at offset " + std::to_string(pos_));
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
@@ -31,14 +34,14 @@ class Parser {
   }
 
   char peek() {
-    AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unexpected end of input");
+    if (pos_ == text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    AXIHC_CHECK_MSG(peek() == c, "json: expected '" << c << "' at offset "
-                                                    << pos_ << ", got '"
-                                                    << text_[pos_] << "'");
+    if (peek() != c) {
+      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'");
+    }
     ++pos_;
   }
 
@@ -80,11 +83,11 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unterminated string");
+      if (pos_ == text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (c == '\\') {
-        AXIHC_CHECK_MSG(pos_ < text_.size(), "json: unterminated escape");
+        if (pos_ == text_.size()) fail("unterminated escape");
         const char e = text_[pos_++];
         switch (e) {
           case '"': out += '"'; break;
@@ -115,7 +118,7 @@ class Parser {
             break;
           }
           default:
-            AXIHC_CHECK_MSG(false, "json: unknown escape '\\" << e << "'");
+            fail(std::string("unknown escape '\\") + e + "'");
         }
       } else {
         out += c;
@@ -135,14 +138,16 @@ class Parser {
         break;
       }
     }
-    AXIHC_CHECK_MSG(pos_ > start, "json: expected a value at offset " << pos_);
+    if (pos_ == start) fail("expected a value");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.raw = text_.substr(start, pos_ - start);
     char* end = nullptr;
     v.number = std::strtod(v.raw.c_str(), &end);
-    AXIHC_CHECK_MSG(end == v.raw.c_str() + v.raw.size(),
-                    "json: bad number '" << v.raw << "'");
+    if (end != v.raw.c_str() + v.raw.size()) {
+      pos_ = start;
+      fail("bad number '" + v.raw + "'");
+    }
     return v;
   }
 
@@ -208,6 +213,14 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
+}
+
+JsonValue parse_json_line(const std::string& text, std::size_t line) {
+  try {
+    return parse_json(text);
+  } catch (const ModelError& e) {
+    throw JsonLineError(line, e.what());
+  }
 }
 
 }  // namespace axihc

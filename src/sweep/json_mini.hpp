@@ -8,10 +8,25 @@
 // Throws ModelError on malformed input.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace axihc {
+
+/// A malformed line of a JSON-lines file (sweep rows, pins). `line` is
+/// 1-based; the CLI reports it as `axihc: <file>:<line>: <what>`.
+class JsonLineError : public ModelError {
+ public:
+  JsonLineError(std::size_t line, const std::string& what)
+      : ModelError(what), line_(line) {}
+  [[nodiscard]] std::size_t line() const { return line_; }
+
+ private:
+  std::size_t line_;
+};
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -34,5 +49,9 @@ struct JsonValue {
 
 /// Parses one complete JSON document (throws ModelError on trailing junk).
 [[nodiscard]] JsonValue parse_json(const std::string& text);
+
+/// parse_json for line `line` of a JSON-lines file: throws JsonLineError.
+[[nodiscard]] JsonValue parse_json_line(const std::string& text,
+                                        std::size_t line);
 
 }  // namespace axihc

@@ -6,7 +6,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "sweep/json_mini.hpp"
 
 namespace axihc {
@@ -48,9 +47,9 @@ std::string fmt(double v) {
 
 Parsed parse_rows(const std::vector<std::string>& lines) {
   Parsed out;
-  for (const std::string& line : lines) {
-    if (line.empty()) continue;
-    const JsonValue v = parse_json(line);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].empty()) continue;
+    const JsonValue v = parse_json_line(lines[i], i + 1);
     const JsonValue* cell = v.find("cell");
     if (cell == nullptr) continue;  // header or foreign line
     // Annotation rows carry no measurements: a statically disproved cell
@@ -90,7 +89,9 @@ Parsed parse_rows(const std::vector<std::string>& lines) {
     if (r.wcla_slack < 0.0) out.all_bounded = false;
     out.rows.push_back(std::move(r));
   }
-  AXIHC_CHECK_MSG(!out.rows.empty(), "--sweep-report: no sweep rows found");
+  if (out.rows.empty()) {
+    throw JsonLineError(lines.size() + 1, "no simulated sweep rows");
+  }
   return out;
 }
 

@@ -19,11 +19,14 @@
 
 namespace axihc {
 
+// Both throw JsonLineError on a malformed line (its 1-based index in
+// `jsonl_lines`) and when no line is a simulated row (one past the end).
+
 /// Markdown report (human-facing; EXPERIMENTS.md embeds one).
 [[nodiscard]] std::string sweep_report_markdown(
     const std::vector<std::string>& jsonl_lines);
 
-/// The same content as one JSON document (machine-facing; CI diffs it).
+/// The same content as one JSON document (machine-facing).
 [[nodiscard]] std::string sweep_report_json(
     const std::vector<std::string>& jsonl_lines);
 

@@ -386,14 +386,16 @@ std::size_t check_pins(const std::vector<std::string>& lines,
   std::size_t mismatches = 0;
   std::istringstream in(pins_text);
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    const JsonValue pin = parse_json(line);
+    const JsonValue pin = parse_json_line(line, line_no);
     const JsonValue* cell = pin.find("cell");
     const JsonValue* config = pin.find("config");
     const JsonValue* state = pin.find("state_digest");
-    AXIHC_CHECK_MSG(cell != nullptr && config != nullptr && state != nullptr,
-                    "pin row missing cell/config/state_digest");
+    if (cell == nullptr || config == nullptr || state == nullptr) {
+      throw JsonLineError(line_no,
+                          "pin row needs cell, config and state_digest");
+    }
     const auto id = static_cast<std::uint64_t>(cell->number);
     const Produced* match = nullptr;
     for (const auto& [c, p] : produced) {

@@ -68,7 +68,8 @@ struct SweepSummary {
 /// run, typically --sweep-deterministic output): for every pinned cell this
 /// run produced, the canonical config digest and the simulation state
 /// digest must match. Returns the number of mismatches, describing each on
-/// `err`. Pins for cells outside this shard are ignored.
+/// `err`. Pins for cells outside this shard are ignored. A malformed pin
+/// line throws JsonLineError.
 [[nodiscard]] std::size_t check_pins(const std::vector<std::string>& lines,
                                      const std::string& pins_text,
                                      std::ostream& err);

@@ -74,33 +74,6 @@ TEST(RateMeter, BytesPerSecond) {
               1.2e9, 1);
 }
 
-TEST(WindowCounter, CountsPerWindow) {
-  WindowCounter wc(100);
-  wc.record(5);
-  wc.record(50);
-  wc.record(150);
-  wc.record(160);
-  wc.record(170);
-  wc.flush(300);
-  ASSERT_EQ(wc.windows().size(), 3u);
-  EXPECT_EQ(wc.windows()[0], 2u);
-  EXPECT_EQ(wc.windows()[1], 3u);
-  EXPECT_EQ(wc.windows()[2], 0u);
-  EXPECT_EQ(wc.max_window(), 3u);
-  EXPECT_EQ(wc.total(), 5u);
-}
-
-TEST(WindowCounter, EmptyWindowsBetweenEvents) {
-  WindowCounter wc(10);
-  wc.record(0);
-  wc.record(55);
-  wc.flush(60);
-  ASSERT_EQ(wc.windows().size(), 6u);
-  EXPECT_EQ(wc.windows()[0], 1u);
-  for (int i = 1; i < 5; ++i) EXPECT_EQ(wc.windows()[i], 0u);
-  EXPECT_EQ(wc.windows()[5], 1u);
-}
-
 TEST(Table, MarkdownOutput) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

@@ -84,6 +84,7 @@
 #include "config/system_builder.hpp"
 #include "sim/phase_check.hpp"
 #include "sweep/code_version.hpp"
+#include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 
@@ -158,6 +159,14 @@ bool write_output(const std::string& path, const std::string& content) {
   out << content;
   std::cerr << "axihc: wrote " << path << "\n";
   return true;
+}
+
+/// Reports a malformed line of a row or pin file as
+/// `axihc: <file>:<line>: ...`; returns the exit code.
+int line_error(const std::string& file, const axihc::JsonLineError& e) {
+  std::cerr << "axihc: " << file << ":" << e.line() << ": " << e.what()
+            << "\n";
+  return 1;
 }
 
 }  // namespace
@@ -337,17 +346,19 @@ int main(int argc, char** argv) {
       // Standalone report mode: argv[1] is a saved row file, not a config.
       std::vector<std::string> lines;
       std::istringstream rows(text.str());
-      for (std::string line; std::getline(rows, line);) {
-        if (!line.empty()) lines.push_back(line);
-      }
-      if (!sweep_report.empty() &&
-          !write_output(sweep_report, axihc::sweep_report_markdown(lines))) {
-        return 1;
-      }
-      if (!sweep_report_json.empty() &&
-          !write_output(sweep_report_json,
-                        axihc::sweep_report_json(lines))) {
-        return 1;
+      for (std::string line; std::getline(rows, line);) lines.push_back(line);
+      try {
+        if (!sweep_report.empty() &&
+            !write_output(sweep_report, axihc::sweep_report_markdown(lines))) {
+          return 1;
+        }
+        if (!sweep_report_json.empty() &&
+            !write_output(sweep_report_json,
+                          axihc::sweep_report_json(lines))) {
+          return 1;
+        }
+      } catch (const axihc::JsonLineError& e) {
+        return line_error(argv[1], e);
       }
       return 0;
     }
@@ -417,8 +428,13 @@ int main(int argc, char** argv) {
         }
         std::ostringstream pins_text;
         pins_text << pins.rdbuf();
-        const std::size_t mismatches =
-            axihc::check_pins(summary.lines, pins_text.str(), std::cerr);
+        std::size_t mismatches = 0;
+        try {
+          mismatches =
+              axihc::check_pins(summary.lines, pins_text.str(), std::cerr);
+        } catch (const axihc::JsonLineError& e) {
+          return line_error(sweep_check, e);
+        }
         if (mismatches != 0) {
           std::cerr << "axihc: " << mismatches
                     << " cell(s) diverged from " << sweep_check << "\n";
