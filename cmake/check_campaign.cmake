@@ -3,17 +3,19 @@
 # least half the runs went through the recovery loop (the smoke spec is tuned
 # so most runs reach the FSM; a collapse means detection or the campaign
 # generator regressed). The campaign itself exits nonzero on non-convergence
-# or a WCLA bound violation. With REFERENCE set, the rows must also be
-# byte-identical to that earlier output (run the two under different
+# or a WCLA bound violation. Stderr is kept next to the rows as
+# <OUT>.stderr. With REFERENCE set, the rows and stderr must also be
+# byte-identical to that earlier run's (run the two under different
 # AXIHC_BENCH_THREADS to check determinism across worker counts).
 #
 #   cmake -DAXIHC=<axihc binary> -DSPEC=<campaign.ini> -DOUT=<rows.jsonl> \
 #         [-DREFERENCE=<rows.jsonl>] -P check_campaign.cmake
 cmake_minimum_required(VERSION 3.19)
-execute_process(COMMAND "${AXIHC}" "${SPEC}" --campaign --campaign-out "${OUT}"
-                OUTPUT_VARIABLE _out ERROR_VARIABLE _err RESULT_VARIABLE _rc)
+execute_process(COMMAND "${AXIHC}" "${SPEC}" --campaign
+                OUTPUT_FILE "${OUT}" ERROR_VARIABLE _err RESULT_VARIABLE _rc)
+file(WRITE "${OUT}.stderr" "${_err}")
 if(NOT _rc EQUAL 0)
-  message(FATAL_ERROR "campaign ${SPEC} exited ${_rc}: ${_out}${_err}")
+  message(FATAL_ERROR "campaign ${SPEC} exited ${_rc}: ${_err}")
 endif()
 file(STRINGS "${OUT}" _lines)
 list(POP_FRONT _lines _header)
@@ -42,10 +44,12 @@ if(_exercised LESS _half)
                       "the recovery loop (want >= ${_half})")
 endif()
 if(DEFINED REFERENCE)
-  file(READ "${REFERENCE}" _want)
-  file(READ "${OUT}" _got)
-  if(NOT _got STREQUAL _want)
-    message(FATAL_ERROR "${OUT} differs from ${REFERENCE}")
-  endif()
+  foreach(_suffix "" ".stderr")
+    file(READ "${REFERENCE}${_suffix}" _want)
+    file(READ "${OUT}${_suffix}" _got)
+    if(NOT _got STREQUAL _want)
+      message(FATAL_ERROR "${OUT}${_suffix} differs from ${REFERENCE}${_suffix}")
+    endif()
+  endforeach()
 endif()
 message(STATUS "${_rows} runs, ${_exercised} exercised the recovery loop")

@@ -120,9 +120,8 @@ struct HcAnalysisConfig {
                                            BeatCount beats);
 
 /// Worst-case cycles needed to serve every port's full budget once:
-/// sum_i B_i * S(nominal). The demand side of the feasibility check; also
-/// quoted by the `reservation-overcommit` lint rule and embedded in prove
-/// certificates.
+/// sum_i B_i * S(nominal). The demand side of the feasibility check;
+/// embedded in prove certificates.
 [[nodiscard]] std::uint64_t reservation_demand(const HcAnalysisConfig& cfg,
                                                const AnalysisPlatform& p);
 

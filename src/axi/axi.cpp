@@ -27,9 +27,7 @@ AxiLink::AxiLink(const std::string& name, AxiLinkConfig cfg)
       aw(name + ".AW", cfg.aw_depth),
       w(name + ".W", cfg.w_depth),
       b(name + ".B", cfg.b_depth),
-      name_(name),
-      data_bits_(cfg.data_bits),
-      id_bits_(cfg.id_bits) {}
+      name_(name) {}
 
 void AxiLink::register_with(Simulator& sim) {
   sim.add(ar);
@@ -37,14 +35,6 @@ void AxiLink::register_with(Simulator& sim) {
   sim.add(aw);
   sim.add(w);
   sim.add(b);
-}
-
-void AxiLink::attach_endpoint(const Component& component) {
-  ar.add_endpoint(component);
-  r.add_endpoint(component);
-  aw.add_endpoint(component);
-  w.add_endpoint(component);
-  b.add_endpoint(component);
 }
 
 }  // namespace axihc

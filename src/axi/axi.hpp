@@ -123,19 +123,14 @@ inline void append_digest(StateDigest& d, const BResp& resp) {
 /// True if an INCR burst crosses a 4 KiB boundary (forbidden by AXI).
 [[nodiscard]] bool crosses_4k(const AddrReq& req);
 
-/// FIFO depths of the five channels of a link, plus the static interface
-/// widths the design-rule checker (src/lint) validates at bridges and
-/// ID-extension boundaries. The behavioural model carries 64-bit beats
-/// regardless; the widths describe the modelled hardware interface.
+/// FIFO depths of the five channels of a link, plus the AxID width the
+/// static prover (src/prove) checks against the ID-extension boundary.
 struct AxiLinkConfig {
   std::size_t ar_depth = 4;
   std::size_t aw_depth = 4;
   std::size_t w_depth = 32;
   std::size_t r_depth = 32;
   std::size_t b_depth = 4;
-  /// Data-bus width in bits (AXI allows 8..1024; the paper's platforms
-  /// use 64/128-bit HP ports).
-  std::uint32_t data_bits = 64;
   /// AxID width in bits. Must stay <= kIdPortShift on HA-side links when
   /// the HyperConnect's ID-extension (out-of-order) mode is enabled.
   std::uint32_t id_bits = 16;
@@ -150,16 +145,7 @@ class AxiLink {
   /// Registers all five channels with `sim` for end-of-cycle commit.
   void register_with(Simulator& sim);
 
-  /// Declares `component` as an endpoint of all five channels (see
-  /// ChannelBase::add_endpoint). Masters and slaves call this from their
-  /// constructors.
-  void attach_endpoint(const Component& component);
-
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Static interface widths (design-rule checks; see AxiLinkConfig).
-  [[nodiscard]] std::uint32_t data_bits() const { return data_bits_; }
-  [[nodiscard]] std::uint32_t id_bits() const { return id_bits_; }
 
   TimingChannel<AddrReq> ar;
   TimingChannel<RBeat> r;
@@ -169,8 +155,6 @@ class AxiLink {
 
  private:
   std::string name_;
-  std::uint32_t data_bits_;
-  std::uint32_t id_bits_;
 };
 
 }  // namespace axihc

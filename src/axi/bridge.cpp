@@ -5,10 +5,7 @@
 namespace axihc {
 
 AxiBridge::AxiBridge(std::string name, AxiLink& upstream, AxiLink& downstream)
-    : Component(std::move(name)), up_(upstream), down_(downstream) {
-  up_.attach_endpoint(*this);
-  down_.attach_endpoint(*this);
-}
+    : Component(std::move(name)), up_(upstream), down_(downstream) {}
 
 void AxiBridge::tick(Cycle) {
   if (up_.ar.can_pop() && down_.ar.can_push()) down_.ar.push(up_.ar.pop());

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "common/log.hpp"
 #include "config/schema.hpp"
 #include "config/system_builder.hpp"
 #include "recovery/recovery_manager.hpp"
@@ -84,6 +85,7 @@ void append_sentinels(const CampaignSpec& spec, FaultScenario& scenario) {
 /// One run's contribution to the JSON-lines output and the exit verdict.
 struct RunRow {
   std::string line;
+  std::vector<std::string> log;  // the run's log lines, held back
   bool converged = true;
   std::uint64_t conservation_violations = 0;
   std::uint64_t recoveries = 0;
@@ -292,11 +294,22 @@ CampaignOutput run_campaign(const IniFile& ini) {
   jobs.reserve(spec.runs);
   for (std::uint64_t r = 0; r < spec.runs; ++r) {
     jobs.push_back([&ini, &spec, &baseline_bytes, r] {
-      return execute_run(ini, spec, r, baseline_bytes);
+      std::vector<std::string> log;
+      const LogCapture capture(log);
+      RunRow row = execute_run(ini, spec, r, baseline_bytes);
+      row.log = std::move(log);
+      return row;
     });
   }
   std::vector<RunRow> rows = run_parallel_jobs<RunRow>(std::move(jobs));
 
+  // Each run's log lines, in run order and named by run: stderr reads the
+  // same at any worker count.
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const std::string& line : rows[r].log) {
+      Logger::print("run " + std::to_string(r) + ": " + line);
+    }
+  }
   for (RunRow& row : rows) {
     if (!row.converged) ++out.non_converged;
     out.conservation_violations += row.conservation_violations;

@@ -1,5 +1,5 @@
 // JSON text helpers shared by every writer: sweep and campaign rows, prove
-// certificates, lint reports and Chrome traces. sweep/json_mini.hpp reads
+// certificates and Chrome traces. sweep/json_mini.hpp reads
 // what these write.
 #pragma once
 

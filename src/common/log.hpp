@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace axihc {
 
@@ -14,12 +15,32 @@ class Logger {
   static void set_level(LogLevel level);
   static LogLevel level();
 
-  /// Emits `message` to stderr as one whole line if `level` is enabled;
-  /// safe to call from concurrent jobs.
+  /// Emits `message` as one whole line if `level` is enabled: into the
+  /// calling thread's LogCapture when one is active, else to stderr. Safe
+  /// to call from concurrent jobs.
   static void write(LogLevel level, const std::string& message);
+
+  /// Writes `line` to stderr as one whole line, whatever the level (for
+  /// lines a LogCapture held back).
+  static void print(const std::string& line);
 
  private:
   static LogLevel level_;
+};
+
+/// Holds back the calling thread's log lines for its lifetime, appending
+/// them to `lines` instead of writing them to stderr. A parallel job
+/// captures its own lines, and the caller writes them out in job order
+/// after the fan-out.
+class LogCapture {
+ public:
+  explicit LogCapture(std::vector<std::string>& lines);
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::vector<std::string>* previous_;
 };
 
 namespace detail {

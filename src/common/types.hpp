@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 namespace axihc {
 
@@ -50,6 +52,14 @@ struct AddrRange {
   /// True if [addr, addr + len) overlaps the range anywhere.
   [[nodiscard]] constexpr bool overlaps(Addr addr, std::uint64_t len) const {
     return addr < base + bytes && base < addr + len;
+  }
+  /// "[0x1000, 0x3000)", for messages.
+  [[nodiscard]] std::string text() const {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "[0x%llx, 0x%llx)",
+                  static_cast<unsigned long long>(base),
+                  static_cast<unsigned long long>(base + bytes));
+    return buf;
   }
 };
 

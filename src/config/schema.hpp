@@ -197,10 +197,11 @@ namespace axihc {
 /// or out-of-range values, unknown choices, and values that conflict across
 /// keys (more [haN] sections or budgets than [system] ports, a [faultN] port
 /// beyond them, [recovery] without a HyperConnect, backoff_max below
-/// backoff_base; with [campaign]: no [recovery], any [faultN], a kind that
-/// is no injector, a port beyond [system] ports, max_faults, start_max or
-/// duration_max below its minimum; defaults included). Axis values are
-/// checked per cell.
+/// backoff_base or probation_window below poll_period, overlapping
+/// decode-map entries ([system] mem_bytes and [memN]); with [campaign]: no
+/// [recovery], any [faultN], a kind that is no injector, a port beyond
+/// [system] ports, max_faults, start_max or duration_max below its minimum;
+/// defaults included). Axis values are checked per cell.
 void validate_config(const IniFile& ini);
 
 }  // namespace axihc

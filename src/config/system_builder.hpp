@@ -17,7 +17,6 @@
 #include "ha/dnn_accelerator.hpp"
 #include "ha/traffic_gen.hpp"
 #include "hypervisor/hypervisor.hpp"
-#include "lint/lint.hpp"
 #include "obs/latency_audit.hpp"
 #include "obs/metrics.hpp"
 #include "platform/platform.hpp"
@@ -70,16 +69,11 @@ class ConfiguredSystem {
   /// Renders the per-HA statistics table (markdown).
   [[nodiscard]] std::string report() const;
 
-  /// Runs the design-rule checker (src/lint) over the elaborated system:
-  /// port/master-link connectivity, decode map vs HA job windows, ID
-  /// headroom under the out-of-order ID-extension, and — in instrumented
-  /// builds after a run — the phase-race check.
-  [[nodiscard]] LintReport lint() const;
-
   /// Assembles the static-prover input (src/prove) from the elaborated
   /// system: the WCLA-side analysis config, platform timing, eFIFO depths,
-  /// the per-HA arrival models recorded by add_ha, and the
-  /// channel/endpoint waits-for graph with owed-completion back-edges.
+  /// the per-HA arrival models and job windows recorded by add_ha, the
+  /// decode map, and the channel/endpoint waits-for graph with
+  /// owed-completion back-edges.
   [[nodiscard]] ProveInput prove_input() const;
   /// Runs the static predictability certifier (src/prove) — zero simulated
   /// cycles; see ProveReport for verdicts and the certificate.
@@ -144,16 +138,8 @@ class ConfiguredSystem {
   /// targets this port.
   AxiLink& attach_port(PortIndex port);
 
-  /// An address window an HA was configured to master (recorded by add_ha
-  /// for the lint address-map checks).
-  struct LintWindow {
-    std::string owner;
-    AddrRange range;
-  };
-
   Platform platform_;
   Cycle configured_cycles_ = 1'000'000;
-  std::vector<LintWindow> lint_windows_;
   /// Arrival model per attached HA (recorded by add_ha for the prover).
   std::vector<ProveHaModel> prove_has_;
   std::unique_ptr<SocSystem> soc_;
@@ -168,8 +154,6 @@ class ConfiguredSystem {
   std::unique_ptr<HyperConnectDriver> driver_;
   std::unique_ptr<Hypervisor> hypervisor_;
   std::unique_ptr<RecoveryManager> recovery_;
-  Cycle recovery_poll_period_ = 0;
-  Cycle recovery_probation_window_ = 0;
 
   ObserveConfig observe_;
   bool observability_wired_ = false;

@@ -295,8 +295,7 @@ ProveCheck check_reservation(const ProveInput& in, ProveReport& report) {
                  ? "feasible: the supply-bound WCLA form applies"
                  : "overcommitted: budgets cannot all be served at "
                    "worst-case memory timing, so only the composite "
-                   "supply+arbitration bound is sound — see the "
-                   "reservation-overcommit lint warning");
+                   "supply+arbitration bound is sound");
       os << ")";
       c.detail = os.str();
     }
@@ -393,6 +392,48 @@ ProveCheck check_wcla(const ProveInput& in, ProveReport& report) {
   return c;
 }
 
+// ---------------------------------------------------------------------------
+// address-map warnings: HA job windows against each other and the decode map
+
+std::vector<std::string> address_warnings(const ProveInput& in) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < in.has.size(); ++i) {
+    for (std::size_t j = i + 1; j < in.has.size(); ++j) {
+      for (const ProveWindow& a : in.has[i].windows) {
+        for (const ProveWindow& b : in.has[j].windows) {
+          if (a.range.bytes == 0 || b.range.bytes == 0 ||
+              !a.range.overlaps(b.range.base, b.range.bytes)) {
+            continue;
+          }
+          out.push_back("address-overlap: " + a.name + " " +
+                        a.range.text() + " and " + b.name + " " +
+                        b.range.text() +
+                        " share bytes: two accelerators access the same "
+                        "buffer");
+        }
+      }
+    }
+  }
+  if (in.decode_map.empty()) return out;
+  for (const ProveHaModel& ha : in.has) {
+    for (const ProveWindow& w : ha.windows) {
+      const bool mapped =
+          w.range.bytes == 0 ||
+          std::any_of(in.decode_map.begin(), in.decode_map.end(),
+                      [&](const AddrRange& d) {
+                        return d.contains_span(w.range.base, w.range.bytes);
+                      });
+      if (!mapped) {
+        out.push_back("address-unmapped: " + w.name + " " +
+                      w.range.text() +
+                      " lies in no single decode-map entry: its accesses "
+                      "complete with DECERR");
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* to_string(ProveVerdict verdict) {
@@ -471,7 +512,16 @@ std::string ProveReport::certificate_json() const {
     }
     os << "}";
   }
-  os << "]}";
+  os << "]";
+  if (!warnings.empty()) {
+    os << ",\"warnings\":[";
+    for (std::size_t i = 0; i < warnings.size(); ++i) {
+      if (i != 0) os << ",";
+      os << "\"" << json_escape(warnings[i]) << "\"";
+    }
+    os << "]";
+  }
+  os << "}";
   return os.str();
 }
 
@@ -492,6 +542,7 @@ void ProveReport::write_text(std::ostream& os) const {
     os << "  [" << to_string(c.verdict) << "] " << c.id << ": " << c.detail
        << "\n";
   }
+  for (const std::string& w : warnings) os << "warning: " << w << "\n";
   os << "verdict: " << to_string(verdict());
   const std::int64_t bound = static_backlog_bound();
   if (bound >= 0) os << "; static backlog bound: " << bound;
@@ -507,6 +558,7 @@ ProveReport prove(const ProveInput& in) {
   report.checks.push_back(check_backlog(in, report.backlog));
   report.checks.push_back(check_reservation(in, report));
   report.checks.push_back(check_wcla(in, report));
+  report.warnings = address_warnings(in);
   return report;
 }
 

@@ -1,6 +1,6 @@
 // axihc-prove — static predictability certification of an elaborated
-// system (layer 2 of the static-analysis wall, between axihc-lint and the
-// cycle-accurate simulation; see docs/STATIC_ANALYSIS.md).
+// system (between config validation and the cycle-accurate simulation; see
+// docs/STATIC_ANALYSIS.md).
 //
 // The paper's central claim is that the HyperConnect's slim architecture is
 // "prone to worst-case timing analysis". src/analysis/wcla derives the
@@ -38,6 +38,12 @@
 //                      interference are flagged unmodeled, exactly the
 //                      configurations the PR 7 auditor excludes.
 //
+// Warnings (reported beside the checks; they never change the verdict):
+//   address-overlap    two HAs' job windows share bytes (hypervisor-level
+//                      isolation between accelerators is not given)
+//   address-unmapped   an HA job window no single decode-map entry covers
+//                      (its accesses complete with DECERR)
+//
 // Verdicts: kDisproved on a hard refutation (deadlock cycle, starvation,
 // ID overflow); kUnmodeled when a check has no model for the
 // configuration; kProven otherwise. Soundness contract: on a kProven
@@ -47,8 +53,7 @@
 //
 // Wiring: `axihc --prove/--prove-json` (tools/axihc.cpp),
 // ConfiguredSystem::prove() assembles the ProveInput from an elaborated
-// INI system, ConfiguredSystem::lint() folds disproofs in as strict-fail
-// warnings, and the sweep runner screens every cell statically before
+// INI system, and the sweep runner screens every cell statically before
 // spending simulation time on it (src/sweep/runner.cpp).
 #pragma once
 
@@ -67,6 +72,12 @@ enum class ProveVerdict : std::uint8_t { kProven, kDisproved, kUnmodeled };
 
 [[nodiscard]] const char* to_string(ProveVerdict verdict);
 
+/// An address window an HA masters (one of its job buffers).
+struct ProveWindow {
+  std::string name;  // e.g. "ha0 read buffer"
+  AddrRange range;
+};
+
 /// The arrival model of one attached hardware accelerator, extracted from
 /// its configuration (ConfiguredSystem::add_ha records one per [haN]).
 struct ProveHaModel {
@@ -81,6 +92,8 @@ struct ProveHaModel {
   Cycle gap_cycles = 0;
   bool reads = true;
   bool writes = false;
+  /// The job buffers it reads and writes (address-map warnings).
+  std::vector<ProveWindow> windows{};
 };
 
 /// One waits-for edge: `from`'s progress can require `to`'s progress.
@@ -114,6 +127,8 @@ struct ProveInput {
   /// Waits-for graph over named endpoints.
   std::vector<std::string> nodes{};
   std::vector<ProveEdge> edges{};
+  /// Memory decode map; empty = every address decodes.
+  std::vector<AddrRange> decode_map{};
 };
 
 /// One check's verdict with its machine-readable evidence. Fact values are
@@ -157,6 +172,9 @@ struct ProveReport {
   bool reservation_on = false;
   bool reservation_feasible = true;
   std::uint64_t reservation_demand = 0;  // cycles needed per period
+  /// Address-map findings ("address-overlap: ...", "address-unmapped:
+  /// ..."); informational, never part of the verdict.
+  std::vector<std::string> warnings;
 
   /// Disproved if any check is disproved; else unmodeled if any check is
   /// unmodeled; else proven.
@@ -168,13 +186,15 @@ struct ProveReport {
   [[nodiscard]] std::int64_t static_backlog_bound() const;
   [[nodiscard]] const ProveCheck* check(const std::string& id) const;
 
-  /// The machine-readable certificate (one JSON object).
+  /// The machine-readable certificate (one JSON object; a "warnings" array
+  /// only when there are any).
   [[nodiscard]] std::string certificate_json() const;
   /// FNV-1a digest of certificate_json(). Sweep cache entries store it
   /// under the (config, code-version) key, so certificates invalidate with
   /// the code-version digest like every other cached measurement.
   [[nodiscard]] std::uint64_t certificate_digest() const;
-  /// Human-readable listing, one check per line plus the verdict summary.
+  /// Human-readable listing, one check per line, one `warning: ` line per
+  /// warning, plus the verdict summary.
   void write_text(std::ostream& os) const;
 };
 

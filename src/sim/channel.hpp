@@ -40,8 +40,6 @@
 
 namespace axihc {
 
-class Component;
-
 /// Type-erased base so the Simulator can commit/reset heterogeneous channels.
 class ChannelBase {
  public:
@@ -59,18 +57,6 @@ class ChannelBase {
   /// Folds the committed + staged contents and traffic counters into `d`
   /// (Simulator::state_digest). Default: no content to report.
   virtual void append_digest(StateDigest& d) const { (void)d; }
-
-  /// Declares `component` as an endpoint (producer or consumer) of this
-  /// channel. Called from component constructors; axihc-lint's
-  /// unconnected-link rule reads these declarations to find dangling port
-  /// bundles. Duplicate declarations are fine.
-  void add_endpoint(const Component& component) {
-    endpoints_.push_back(&component);
-  }
-
-  [[nodiscard]] const std::vector<const Component*>& endpoints() const {
-    return endpoints_;
-  }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -98,10 +84,12 @@ class ChannelBase {
   /// commit() implementations call this so a later change re-enqueues.
   void clear_dirty() { dirty_ = false; }
 
-  // Phase-checker hooks (see sim/phase_check.hpp). Instrumented builds
-  // outline them into phase_check.cpp; default builds compile them away, so
-  // the hot channel methods carry zero overhead. Const so the read-side
-  // hooks can be called from const accessors (the ledger state is mutable).
+  // Phase-checker hooks (see sim/phase_check.hpp): in instrumented builds
+  // they throw ModelError on an access that breaks the two-phase
+  // discipline. Instrumented builds outline them into phase_check.cpp;
+  // default builds compile them away, so the hot channel methods carry zero
+  // overhead. Const so the read-side hooks can be called from const
+  // accessors (the ledger state is mutable).
 #ifdef AXIHC_PHASE_CHECK
   void ledger_on_read() const;   // pop/front: consumes committed state
   void ledger_on_write() const;  // push
@@ -116,12 +104,10 @@ class ChannelBase {
   friend class Simulator;
 
   std::string name_;
-  std::vector<const Component*> endpoints_;
 #ifdef AXIHC_PHASE_CHECK
   // Phase-checker state (sim/phase_check.hpp). Compiled out of the default
   // build along with the hooks, so uninstrumented channels carry neither
-  // per-access nor footprint overhead. Mutable: read-side hooks record from
-  // const accessors.
+  // per-access nor footprint overhead. Mutable: the hooks are const.
   mutable std::uint64_t ledger_commit_epoch_ = 0;
 #endif
   // The Simulator's commit list this channel enqueues itself on. Null when

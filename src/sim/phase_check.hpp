@@ -1,5 +1,4 @@
-// Phase-race detector for the two-phase channel semantics (axihc-lint
-// layer 2).
+// Phase-race detector for the two-phase channel semantics.
 //
 // The kernel's tick-order independence — and with it fast-forward
 // bit-identity — rests on one honor-system contract: channel state moves
@@ -11,34 +10,29 @@
 //
 // Instrumentation is compiled in only with the AXIHC_PHASE_CHECK CMake
 // option (the default build carries zero per-access overhead; see
-// docs/STATIC_ANALYSIS.md). When compiled in, it is armed at run time with
-// PhaseCheck::arm(true); the Simulator then stamps the kernel phase and the
-// currently-ticking component, and every TimingChannel access flags
-// two-phase violations: a mid-compute commit() (staged data made visible
-// in the same cycle), a same-cycle read of freshly-committed state, or a
-// push or read during the commit phase. Only ChannelBase::commit() runs in
-// the commit phase, so channel accesses are the only writes it can race.
+// docs/STATIC_ANALYSIS.md). When compiled in, it checks every channel
+// access of every simulation: the Simulator stamps the kernel phase and the
+// currently-ticking component, and a TimingChannel access that breaks the
+// discipline throws ModelError at the access, naming the channel, the
+// component and the rule. The rules: no mid-compute commit() (staged data
+// made visible in the same cycle), no same-cycle read of freshly-committed
+// state, and no push or read during the commit phase. Only
+// ChannelBase::commit() runs in the commit phase, so channel accesses are
+// the only writes it can race.
 //
-// Threading: the current component is thread-local, so simulations running
-// as parallel jobs do not clobber each other's stamp; the phase stamp and
-// the violation list are process-wide, so arm the checker for one
-// simulation at a time (lint runs do).
+// Threading: both stamps are thread-local, so simulations running as
+// parallel jobs (one simulation per thread at a time) each see only their
+// own phase.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace axihc {
 
 class Component;
 
 /// True when the build carries the channel instrumentation
-/// (-DAXIHC_PHASE_CHECK=ON). The design-rule checker downgrades its
-/// phase-race check to a note when false.
+/// (-DAXIHC_PHASE_CHECK=ON).
 #ifdef AXIHC_PHASE_CHECK
 inline constexpr bool kPhaseCheckAvailable = true;
 #else
@@ -49,47 +43,16 @@ inline constexpr bool kPhaseCheckAvailable = false;
 /// reset and inter-cycle code, where channel manipulation is unrestricted.
 enum class EnginePhase : std::uint8_t { kOutside, kCompute, kCommit };
 
-/// One detected two-phase violation.
-struct PhaseViolation {
-  std::string channel;
-  std::string component;  // empty when the access came from outside a tick
-  std::string what;
-  Cycle epoch = 0;  // Simulator epoch (monotone per-cycle stamp)
-};
-
-/// Process-wide detector state. All members are static: the Simulator and
-/// the channels need to reach it without plumbing a context through every
-/// access site, and one process hosts one checked simulation at a time
-/// (parallel sweeps run with the checker disarmed).
+/// The calling thread's kernel stamps. All members are static: the
+/// Simulator and the channels reach them without plumbing a context
+/// through every access site.
 class PhaseCheck {
  public:
-  /// Master switch. Arming clears previously recorded violations.
-  static void arm(bool on);
-  [[nodiscard]] static bool armed();
-
-  /// Kernel phase stamp (Simulator only).
+  /// Kernel phase stamp (Simulator only; thread-local).
   static void set_phase(EnginePhase phase);
-  [[nodiscard]] static EnginePhase phase();
 
   /// Currently-ticking component (Simulator only; thread-local).
   static void set_current(const Component* component);
-  [[nodiscard]] static const Component* current();
-
-  /// Appends a violation (channel instrumentation only).
-  static void record(const std::string& channel, const std::string& what,
-                     Cycle epoch);
-
-  [[nodiscard]] static std::size_t violation_count();
-
-  /// Returns and clears the recorded violations.
-  [[nodiscard]] static std::vector<PhaseViolation> drain();
-
-  /// Copies the recorded violations without clearing them (the design-rule
-  /// checker reports them; the owner decides when to drain).
-  [[nodiscard]] static std::vector<PhaseViolation> snapshot();
-
-  /// Disarms and clears all state (test isolation).
-  static void reset();
 };
 
 }  // namespace axihc

@@ -4,12 +4,24 @@
 
 // Phase-race detector stamps (sim/phase_check.hpp): the kernel marks which
 // phase of the cycle it is in and which component is ticking, so channel
-// accesses can be checked against the two-phase discipline. Compiled away
-// entirely in builds without AXIHC_PHASE_CHECK.
+// accesses can be checked against the two-phase discipline. A race throws
+// out of the cycle; the guard clears the stamps then, so they never outlive
+// the step (or the component) they describe. Compiled away entirely in
+// builds without AXIHC_PHASE_CHECK.
 #ifdef AXIHC_PHASE_CHECK
+namespace {
+struct StampGuard {
+  ~StampGuard() {
+    ::axihc::PhaseCheck::set_phase(::axihc::EnginePhase::kOutside);
+    ::axihc::PhaseCheck::set_current(nullptr);
+  }
+};
+}  // namespace
+#define AXIHC_STAMP_GUARD() const StampGuard axihc_stamp_guard_
 #define AXIHC_STAMP_PHASE(p) ::axihc::PhaseCheck::set_phase(::axihc::EnginePhase::p)
 #define AXIHC_STAMP_CURRENT(c) ::axihc::PhaseCheck::set_current(c)
 #else
+#define AXIHC_STAMP_GUARD() ((void)0)
 #define AXIHC_STAMP_PHASE(p) ((void)0)
 #define AXIHC_STAMP_CURRENT(c) ((void)0)
 #endif
@@ -47,6 +59,7 @@ void Simulator::reset() {
 }
 
 void Simulator::step() {
+  AXIHC_STAMP_GUARD();
   AXIHC_STAMP_PHASE(kCompute);
   for (auto* c : components_) {
     AXIHC_STAMP_CURRENT(c);
@@ -60,7 +73,6 @@ void Simulator::step() {
   AXIHC_STAMP_PHASE(kCommit);
   for (auto* ch : dirty_) ch->commit();
   dirty_.clear();
-  AXIHC_STAMP_PHASE(kOutside);
   ++now_;
   ++epoch_;
 }

@@ -73,9 +73,7 @@ class Simulator {
 
   [[nodiscard]] Cycle now() const { return now_; }
 
-  /// Registered graph, in registration order (read-only). The design-rule
-  /// checker (src/lint) walks these to check connectivity after
-  /// elaboration.
+  /// Registered graph, in registration order (read-only).
   [[nodiscard]] const std::vector<Component*>& components() const {
     return components_;
   }

@@ -359,8 +359,9 @@ SweepSummary run_sweep(const IniFile& ini, const SweepOptions& opts) {
   return summary;
 }
 
-std::size_t check_pins(const std::vector<std::string>& lines,
-                       const std::string& pins_text, std::ostream& err) {
+PinCheck check_pins(const std::vector<std::string>& lines,
+                    const std::string& pins_text, std::size_t cell_count,
+                    std::ostream& err) {
   // Index produced rows by cell.
   struct Produced {
     std::string config;
@@ -383,11 +384,13 @@ std::size_t check_pins(const std::vector<std::string>& lines,
                  state != nullptr ? state->str_or("") : std::string()});
   }
 
-  std::size_t mismatches = 0;
+  PinCheck result;
+  std::size_t pins = 0;
   std::istringstream in(pins_text);
   std::string line;
   for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
+    ++pins;
     const JsonValue pin = parse_json_line(line, line_no);
     const JsonValue* cell = pin.find("cell");
     const JsonValue* config = pin.find("config");
@@ -397,6 +400,12 @@ std::size_t check_pins(const std::vector<std::string>& lines,
                           "pin row needs cell, config and state_digest");
     }
     const auto id = static_cast<std::uint64_t>(cell->number);
+    if (id >= cell_count) {
+      throw JsonLineError(line_no, "pin for cell " + std::to_string(id) +
+                                       ", but the spec has " +
+                                       std::to_string(cell_count) +
+                                       " cells");
+    }
     const Produced* match = nullptr;
     for (const auto& [c, p] : produced) {
       if (c == id) {
@@ -405,17 +414,19 @@ std::size_t check_pins(const std::vector<std::string>& lines,
       }
     }
     if (match == nullptr) continue;  // other shard's cell
+    ++result.compared;
     if (match->config != config->str_or("")) {
-      ++mismatches;
+      ++result.mismatches;
       err << "cell " << id << ": config digest " << match->config
           << " != pinned " << config->str_or("") << "\n";
     } else if (match->state != state->str_or("")) {
-      ++mismatches;
+      ++result.mismatches;
       err << "cell " << id << ": state digest " << match->state
           << " != pinned " << state->str_or("") << "\n";
     }
   }
-  return mismatches;
+  if (pins == 0) throw JsonLineError(1, "no pins in the pin file");
+  return result;
 }
 
 }  // namespace axihc

@@ -64,14 +64,21 @@ struct SweepSummary {
 [[nodiscard]] SweepSummary run_sweep(const IniFile& ini,
                                      const SweepOptions& opts);
 
+/// What check_pins compared.
+struct PinCheck {
+  std::size_t compared = 0;    ///< pins for cells this run produced
+  std::size_t mismatches = 0;  ///< of those, pins that diverged
+};
+
 /// Checks produced rows against a pin file (JSON-lines rows from an earlier
 /// run, typically --sweep-deterministic output): for every pinned cell this
 /// run produced, the canonical config digest and the simulation state
-/// digest must match. Returns the number of mismatches, describing each on
-/// `err`. Pins for cells outside this shard are ignored. A malformed pin
-/// line throws JsonLineError.
-[[nodiscard]] std::size_t check_pins(const std::vector<std::string>& lines,
-                                     const std::string& pins_text,
-                                     std::ostream& err);
+/// digest must match; each mismatch is described on `err`. Pins for cells
+/// outside this shard are skipped. A malformed pin line, a pin file without
+/// pins and a pin for a cell at or beyond `cell_count` (the spec's cells)
+/// throw JsonLineError.
+[[nodiscard]] PinCheck check_pins(const std::vector<std::string>& lines,
+                                  const std::string& pins_text,
+                                  std::size_t cell_count, std::ostream& err);
 
 }  // namespace axihc

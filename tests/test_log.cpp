@@ -53,5 +53,27 @@ TEST(Logger, ConcurrentLinesStayWhole) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next[t], kLines) << t;
 }
 
+// A parallel job holds its lines back; the caller writes them out in job
+// order. Another thread's lines still reach stderr.
+TEST(Logger, CaptureHoldsBackTheThreadsLines) {
+  std::ostringstream captured;
+  std::streambuf* const saved = std::cerr.rdbuf(captured.rdbuf());
+  const LogLevel saved_level = Logger::level();
+  Logger::set_level(LogLevel::kWarn);
+  std::vector<std::string> held;
+  {
+    const LogCapture capture(held);
+    AXIHC_LOG_WARN() << "held";
+    AXIHC_LOG_INFO() << "below the level";
+    std::thread([] { AXIHC_LOG_WARN() << "other thread"; }).join();
+  }
+  AXIHC_LOG_WARN() << "after";
+  Logger::set_level(saved_level);
+  std::cerr.rdbuf(saved);
+
+  EXPECT_EQ(held, std::vector<std::string>{"[warn ] held"});
+  EXPECT_EQ(captured.str(), "[warn ] other thread\n[warn ] after\n");
+}
+
 }  // namespace
 }  // namespace axihc

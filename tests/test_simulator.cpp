@@ -1,15 +1,18 @@
-// Simulator determinism and lifecycle tests, plus the job pool that runs
-// independent simulations in parallel (sim/parallel_jobs.hpp).
+// Simulator determinism and lifecycle tests, the phase-race detector
+// (sim/phase_check.hpp), plus the job pool that runs independent
+// simulations in parallel (sim/parallel_jobs.hpp).
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sim/parallel_jobs.hpp"
+#include "sim/phase_check.hpp"
 #include "sim/trace.hpp"
 
 namespace axihc {
@@ -192,6 +195,73 @@ TEST(ParallelJobs, ParallelSimulationsMatchASerialRun) {
   };
   const std::uint64_t expected = simulate();
   std::vector<std::function<std::uint64_t()>> jobs(8, simulate);
+  for (const std::uint64_t d : run_parallel_jobs(std::move(jobs))) {
+    EXPECT_EQ(d, expected);
+  }
+}
+
+/// Breaks the two-phase discipline on purpose: commits its own channel
+/// mid-tick, so the push and its visibility land in one cycle.
+class PhaseRacer final : public Component {
+ public:
+  PhaseRacer(std::string name, TimingChannel<int>& ch)
+      : Component(std::move(name)), ch_(ch) {}
+  void tick(Cycle) override {
+    if (!ch_.can_push()) return;
+    ch_.push(1);
+    ch_.commit();
+    if (ch_.can_pop()) ch_.pop();
+  }
+
+ private:
+  TimingChannel<int>& ch_;
+};
+
+/// A producer/consumer pipeline run for `cycles`; returns its digest.
+std::uint64_t simulate_pipeline(Cycle cycles) {
+  Simulator sim;
+  TimingChannel<int> ch("ch", 2);
+  Producer p("p", ch);
+  Consumer c("c", ch);
+  sim.add(ch);
+  sim.add(p);
+  sim.add(c);
+  sim.reset();
+  sim.run(cycles);
+  return sim.state_digest();
+}
+
+TEST(PhaseCheck, RaceThrowsAtTheAccess) {
+  if (!kPhaseCheckAvailable) GTEST_SKIP() << "needs -DAXIHC_PHASE_CHECK=ON";
+  Simulator sim;
+  TimingChannel<int> ch("racer.ch", 4);
+  sim.add(ch);
+  PhaseRacer racer("racer", ch);
+  sim.add(racer);
+  try {
+    sim.run(3);
+    ADD_FAILURE() << "the racing commit did not throw";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("channel 'racer.ch'"), std::string::npos) << what;
+    EXPECT_NE(what.find("component 'racer'"), std::string::npos) << what;
+    EXPECT_NE(what.find("mid-compute commit"), std::string::npos) << what;
+  }
+  // The throw left no stamp behind: a standalone channel commits freely
+  // and an honest simulation on this thread runs clean.
+  TimingChannel<int> standalone("standalone", 1);
+  standalone.push(1);
+  standalone.commit();
+  EXPECT_EQ(standalone.pop(), 1);
+  EXPECT_EQ(simulate_pipeline(100), simulate_pipeline(100));
+}
+
+TEST(PhaseCheck, ParallelJobsKeepTheirOwnPhase) {
+  // With a process-wide phase stamp, one job's commit phase shows up in the
+  // other's reads and the instrumented build throws a false race.
+  const std::uint64_t expected = simulate_pipeline(200'000);
+  std::vector<std::function<std::uint64_t()>> jobs(
+      2, [] { return simulate_pipeline(200'000); });
   for (const std::uint64_t d : run_parallel_jobs(std::move(jobs))) {
     EXPECT_EQ(d, expected);
   }

@@ -444,7 +444,9 @@ TEST(SweepRunner, PinsCatchDivergence) {
   for (const std::string& line : s.lines) pins += line + "\n";
 
   std::ostringstream quiet;
-  EXPECT_EQ(check_pins(s.lines, pins, quiet), 0u);
+  const PinCheck all = check_pins(s.lines, pins, s.cells, quiet);
+  EXPECT_EQ(all.mismatches, 0u);
+  EXPECT_EQ(all.compared, s.lines.size());
 
   // Corrupt one pinned state digest: exactly one mismatch, and it names
   // the cell.
@@ -453,11 +455,39 @@ TEST(SweepRunner, PinsCatchDivergence) {
   ASSERT_NE(pos, std::string::npos);
   bad[pos + 18] = bad[pos + 18] == 'f' ? '0' : 'f';
   std::ostringstream err;
-  EXPECT_EQ(check_pins(s.lines, bad, err), 1u);
+  EXPECT_EQ(check_pins(s.lines, bad, s.cells, err).mismatches, 1u);
   EXPECT_NE(err.str().find("cell 0"), std::string::npos);
 
-  // Pins for cells this shard never produced are ignored.
-  EXPECT_EQ(check_pins({s.lines[1]}, pins, quiet), 0u);
+  // Pins for cells this shard never produced are skipped, not compared.
+  const PinCheck shard = check_pins({s.lines[1]}, pins, s.cells, quiet);
+  EXPECT_EQ(shard.mismatches, 0u);
+  EXPECT_EQ(shard.compared, 1u);
+}
+
+TEST(SweepRunner, PinsMustNameCellsOfTheSpec) {
+  SweepOptions opts;
+  opts.deterministic = true;
+  const SweepSummary s = run(kRunnable, opts);
+  std::ostringstream quiet;
+  // An empty pin file compares nothing: an error, not a pass.
+  try {
+    (void)check_pins(s.lines, "\n", s.cells, quiet);
+    ADD_FAILURE() << "an empty pin file passed";
+  } catch (const JsonLineError& e) {
+    EXPECT_EQ(e.line(), 1u);
+  }
+  // A pin beyond the spec's cells can never be compared.
+  const std::string beyond = s.lines[0] + "\n{\"cell\":" +
+                             std::to_string(s.cells) +
+                             ",\"config\":\"0x1\",\"state_digest\":\"0x2\"}\n";
+  try {
+    (void)check_pins(s.lines, beyond, s.cells, quiet);
+    ADD_FAILURE() << "an out-of-range pin passed";
+  } catch (const JsonLineError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("cell " + std::to_string(s.cells)),
+              std::string::npos);
+  }
 }
 
 TEST(SweepRunner, RowsExposeRollups) {

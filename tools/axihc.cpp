@@ -3,7 +3,6 @@
 //   axihc <config.ini> [--cycles N] [--trace-out f.json]
 //         [--metrics-out f.csv] [--sample-every N] [--no-fast-forward]
 //         [--digest] [--latency-audit] [--flight-out f.jsonl]
-//   axihc <config.ini> --lint [--lint-strict] [--lint-json f.json]
 //   axihc <config.ini> --prove [--prove-json f.json]
 //   axihc <spec.ini> --campaign [--campaign-out f.jsonl]
 //   axihc <spec.ini> --campaign --campaign-replay N
@@ -24,10 +23,11 @@
 // --sweep-shard i/N runs the cells with index % N == i (fan out across
 // machines; the sorted union of shard outputs equals the unsharded run).
 // --sweep-check compares each produced cell's config + state digest against
-// a pinned row file and exits nonzero on any mismatch. --sweep-report /
-// --sweep-report-json render Pareto fronts and per-axis sensitivity tables
-// from this run's rows — or, without --sweep, from a saved row file ("-"
-// writes to stdout).
+// a pinned row file and exits nonzero on any mismatch, on a pin file
+// without pins and on a pin for a cell the spec does not have.
+// --sweep-report / --sweep-report-json render Pareto fronts and per-axis
+// sensitivity tables from this run's rows — or, without --sweep, from a
+// saved row file ("-" writes to stdout).
 //
 // --config-digest validates the config (src/config/schema.hpp) and prints
 // the 64-bit digest of its canonical form (stable across key order,
@@ -53,15 +53,11 @@
 // certifier (src/prove) with ZERO simulated cycles: deadlock-freedom over
 // the waits-for graph, per-port eFIFO backlog bounds, reservation
 // feasibility/starvation-freedom/ID headroom, and WCLA boundedness
-// classification. Exits nonzero iff any check is disproved. --prove-json
-// writes the machine-readable certificate (plus the code-version digest
-// certificates are cached under in sweeps).
-//
-// --lint elaborates the system, runs the design-rule checker (src/lint) and
-// exits nonzero when any error-severity finding is present. In builds
-// configured with -DAXIHC_PHASE_CHECK=ON it first runs a short simulation
-// (the --cycles value, or 20000) with the channel instrumentation armed, so
-// the phase-race check has accesses to audit.
+// classification. It prints address-map findings (HA job windows that
+// share bytes or fall outside the decode map) as `warning: ` lines; they do
+// not change the verdict. Exits nonzero iff any check is disproved.
+// --prove-json writes the machine-readable certificate (plus the
+// code-version digest certificates are cached under in sweeps).
 //
 // An unknown flag, a flag without its value and a malformed count print the
 // usage and exit 2 before anything runs.
@@ -82,7 +78,6 @@
 #include "config/ini.hpp"
 #include "config/schema.hpp"
 #include "config/system_builder.hpp"
-#include "sim/phase_check.hpp"
 #include "sweep/code_version.hpp"
 #include "sweep/json_mini.hpp"
 #include "sweep/report.hpp"
@@ -128,8 +123,6 @@ void usage() {
                "             [--metrics-out f.csv] [--sample-every N]\n"
                "             [--no-fast-forward] [--digest]\n"
                "             [--latency-audit] [--flight-out f.jsonl]\n"
-               "       axihc <config.ini> --lint [--lint-strict]\n"
-               "             [--lint-json f.json]\n"
                "       axihc <config.ini> --prove [--prove-json f.json]\n"
                "       axihc <spec.ini> --campaign [--campaign-out f.jsonl]\n"
                "       axihc <spec.ini> --campaign --campaign-replay N\n"
@@ -187,9 +180,6 @@ int main(int argc, char** argv) {
   axihc::Cycle sample_every = 0;  // 0 = keep the config's value
   bool fast_forward = true;
   bool print_digest = false;
-  bool lint_mode = false;
-  bool lint_strict = false;
-  std::string lint_json;
   bool prove_mode = false;
   std::string prove_json;
   bool campaign_mode = false;
@@ -242,14 +232,6 @@ int main(int argc, char** argv) {
       fast_forward = false;
     } else if (flag == "--digest") {
       print_digest = true;
-    } else if (flag == "--lint") {
-      lint_mode = true;
-    } else if (flag == "--lint-strict") {
-      lint_mode = true;
-      lint_strict = true;
-    } else if (flag == "--lint-json") {
-      lint_mode = true;
-      lint_json = value();
     } else if (flag == "--prove") {
       prove_mode = true;
     } else if (flag == "--prove-json") {
@@ -428,19 +410,20 @@ int main(int argc, char** argv) {
         }
         std::ostringstream pins_text;
         pins_text << pins.rdbuf();
-        std::size_t mismatches = 0;
+        axihc::PinCheck pins_checked;
         try {
-          mismatches =
-              axihc::check_pins(summary.lines, pins_text.str(), std::cerr);
+          pins_checked = axihc::check_pins(summary.lines, pins_text.str(),
+                                           summary.cells, std::cerr);
         } catch (const axihc::JsonLineError& e) {
           return line_error(sweep_check, e);
         }
-        if (mismatches != 0) {
-          std::cerr << "axihc: " << mismatches
+        if (pins_checked.mismatches != 0) {
+          std::cerr << "axihc: " << pins_checked.mismatches
                     << " cell(s) diverged from " << sweep_check << "\n";
           return 1;
         }
-        std::cerr << "axihc: all pinned cells match " << sweep_check << "\n";
+        std::cerr << "axihc: all pinned cells match " << sweep_check << " ("
+                  << pins_checked.compared << " compared)\n";
       }
       return 0;
     }
@@ -498,30 +481,6 @@ int main(int argc, char** argv) {
                   << "\n";
       }
       return proof.disproved() ? 1 : 0;
-    }
-
-    if (lint_mode) {
-      if (axihc::kPhaseCheckAvailable) {
-        // Short armed run: the phase-race check covers exactly what ran.
-        axihc::PhaseCheck::arm(true);
-        system->run(override_cycles != 0 ? override_cycles : 20000);
-      }
-      const axihc::LintReport report = system->lint();
-      report.write_text(std::cout);
-      if (!lint_json.empty()) {
-        std::ofstream out(lint_json);
-        if (!out) {
-          std::cerr << "axihc: cannot write '" << lint_json << "'\n";
-          return 1;
-        }
-        report.write_json(out);
-        std::cerr << "axihc: wrote lint report to " << lint_json << "\n";
-      }
-      const bool failed =
-          report.has_errors() ||
-          (lint_strict &&
-           report.count(axihc::LintSeverity::kWarning) != 0);
-      return failed ? 1 : 0;
     }
 
     // CLI flags layer on top of the [observe] section: an output file turns
